@@ -1,16 +1,17 @@
 (** Liveness-based instruction-level dead-code elimination.
 
-    Complements the two existing DCE layers: {!Pass_dce} strips whole
-    unreferenced symbols, and {!Pass_simplify}'s [drop_dead] removes pure
-    instructions whose destination has no textual use — which can never
-    retire a self-sustaining cluster such as a phi-carried loop recurrence
-    whose value never escapes.  This pass marks liveness backward from the
-    observable roots (calls, loads, stores, terminator operands) through
-    the def-use graph and drops every pure instruction left unmarked, plus
-    stores into never-read slots (and then the slots themselves).
+    Complements {!Pass_dce}, which strips whole unreferenced symbols.
+    Dropping a pure instruction once its destination has no textual use
+    can never retire a self-sustaining cluster such as a phi-carried loop
+    recurrence whose value never escapes.  This pass instead marks
+    liveness backward from the observable roots (calls, loads, stores,
+    terminator operands) through the def-use graph and drops every pure
+    instruction left unmarked, plus stores into never-read slots (and then
+    the slots themselves).
 
-    Only the instruction classes [drop_dead] already considers pure are
-    ever deleted, so the pass removes no trap the existing pipeline would
-    have kept.  Expects a module that passes {!Verify.run}. *)
+    Only binops, compares, geps, selects, phis and allocas are ever
+    deleted; integer division counts as pure here, so an unused division
+    by zero is dropped rather than kept as a trap.  Expects a module that
+    passes {!Verify.run}. *)
 
 val run : Ir.modul -> Ir.modul

@@ -139,20 +139,13 @@ let match_site (m : Ir.modul) ~service (i : Ir.instr) =
       | Some _ | None -> None)
   | _ -> None
 
-let fresh_counter = ref 0
-
-let next_id () =
-  incr fresh_counter;
-  !fresh_counter
-
 (* Local-call replacement instructions for one site.  [dst] keeps its
    original name so later uses still resolve. *)
-let local_call_instrs ~kind ~caller2c ~caller_lang ~dst ~req =
-  let id = next_id () in
+let local_call_instrs ~tag ~kind ~caller2c ~caller_lang ~dst ~req =
   match kind with
   | Sync -> [ Ir.Call { dst; ret = Ir.Ptr; callee = caller2c; args = [ (Ir.Ptr, req) ] } ]
   | Async ->
-      let l = Printf.sprintf "qa%d.l" id and c = Printf.sprintf "qa%d.c" id in
+      let l = Printf.sprintf "qa%s.l" tag and c = Printf.sprintf "qa%s.c" tag in
       [
         Ir.Call { dst = Some l; ret = Ir.Ptr; callee = caller2c; args = [ (Ir.Ptr, req) ] };
         Ir.Call
@@ -166,14 +159,11 @@ let local_call_instrs ~kind ~caller2c ~caller_lang ~dst ~req =
       ]
 
 (* Conditional rewriting requires splitting the block at the call site. *)
-let rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang (b : Ir.block) ~site_instr
-    ~kind ~dst ~req ~before ~after =
-  let id = next_id () in
-  let l_local = Printf.sprintf "qc%d.local" id in
-  let l_remote = Printf.sprintf "qc%d.remote" id in
-  let l_join = Printf.sprintf "qc%d.join" id in
-  let cnt = Printf.sprintf "qc%d.cnt" id in
-  let cond = Printf.sprintf "qc%d.lt" id in
+let rewrite_block_conditional ~tag ~alpha ~counter ~caller2c ~caller_lang (b : Ir.block)
+    ~site_instr ~kind ~dst ~req ~before ~after =
+  let name suffix = Printf.sprintf "qc%s.%s" tag suffix in
+  let l_local = name "local" and l_remote = name "remote" and l_join = name "join" in
+  let cnt = name "cnt" and cond = name "lt" in
   let head =
     {
       Ir.label = b.Ir.label;
@@ -193,18 +183,17 @@ let rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang (b : Ir.blo
       term = Ir.Cbr { cond = Ir.Local cond; if_true = l_local; if_false = l_remote };
     }
   in
-  let cnt1 = Printf.sprintf "qc%d.cnt1" id in
-  let rl = Printf.sprintf "qc%d.rl" id in
+  let cnt1 = name "cnt1" and rl = name "rl" in
   let local_instrs =
     [
       Ir.Binop
         { dst = cnt1; op = Ir.Add; ty = Ir.I64; lhs = Ir.Local cnt; rhs = Ir.Const (Ir.Cint (Ir.I64, 1L)) };
       Ir.Store { ty = Ir.I64; src = Ir.Local cnt1; ptr = Ir.Const (Ir.Cglobal counter) };
     ]
-    @ local_call_instrs ~kind ~caller2c ~caller_lang ~dst:(Some rl) ~req
+    @ local_call_instrs ~tag ~kind ~caller2c ~caller_lang ~dst:(Some rl) ~req
   in
   let local_block = { Ir.label = l_local; instrs = local_instrs; term = Ir.Br l_join } in
-  let rr = Printf.sprintf "qc%d.rr" id in
+  let rr = name "rr" in
   let remote_instr =
     match site_instr with
     | Ir.Call c -> Ir.Call { c with dst = Some rr }
@@ -245,17 +234,21 @@ let rewrite_function (m : Ir.modul) ~service ~caller2c_for ~mode (f : Ir.func) =
       | None -> [ { b with Ir.instrs = clean @ b.Ir.instrs } ]
       | Some (before, site_instr, kind, lang, dst, req, after) -> (
           incr count;
+          (* Fresh names come from the site's ordinal within this function
+             and the callee: they depend on the input alone, and stay unique
+             because each function is rewritten once per callee. *)
+          let tag = Printf.sprintf "%d.%s" !count (mangle service) in
           let caller2c = caller2c_for lang in
           match mode ~caller:f.Ir.fname with
           | Unconditional ->
-              let replacement = local_call_instrs ~kind ~caller2c ~caller_lang:lang ~dst ~req in
+              let replacement = local_call_instrs ~tag ~kind ~caller2c ~caller_lang:lang ~dst ~req in
               process_block (clean @ before @ replacement) { b with Ir.instrs = after }
           | Conditional alpha ->
               let counter = Printf.sprintf "qcnt_%s_%s" (mangle f.Ir.fname) (mangle service) in
               if not (List.mem counter !counters) then counters := counter :: !counters;
               let blocks =
-                rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang:lang b ~site_instr
-                  ~kind ~dst ~req ~before:(clean @ before) ~after
+                rewrite_block_conditional ~tag ~alpha ~counter ~caller2c ~caller_lang:lang b
+                  ~site_instr ~kind ~dst ~req ~before:(clean @ before) ~after
               in
               (match blocks with
               | head :: local_b :: remote_b :: join :: [] ->
@@ -355,13 +348,13 @@ let rewrite_call_sites (m : Ir.modul) ~service ~local_name ~callee_lang ~mode ~r
       m !module_ref.Ir.funcs
   in
   (* Declare counters. *)
+  let counters = List.sort_uniq compare !all_counters in
   let m =
     List.fold_left
       (fun acc c ->
         if Ir.find_global acc c = None then
           Ir.add_global acc { Ir.gname = c; ginit = Ir.Gint64 0L; gconst = false; glang = None }
         else acc)
-      m (List.sort_uniq compare !all_counters)
+      m counters
   in
-  let m = match reset_in with Some h -> insert_counter_reset m ~handler:h (List.sort_uniq compare !all_counters) | None -> m in
-  (m, !total)
+  (insert_counter_reset m ~handler:reset_in counters, !total)

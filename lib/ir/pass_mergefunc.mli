@@ -36,15 +36,20 @@ val rewrite_call_sites :
   local_name:string ->
   callee_lang:string ->
   mode:(caller:string -> mode) ->
-  reset_in:string option ->
+  reset_in:string ->
   Ir.modul * int
 (** Rewrites all matching call sites in every defined function; returns the
     module and the number of sites rewritten.  [service] is the callee's
     platform handle (the string the caller passes to sync_inv).  [mode] is
     consulted per containing function, so different call-graph edges can
-    carry different profiled α values.  [reset_in], when set, names the
-    handler at whose entry conditional-mode counters are reset (once per
-    request). *)
+    carry different profiled α values.  [reset_in] names the handler at
+    whose entry conditional-mode counters are reset (once per request).
+
+    Call at most once per [service] on a module: a conditional site keeps
+    its original remote invocation as the fallback, which a second call
+    would match and guard again.  Fresh labels and locals are named from
+    the site's ordinal within its function and the service, so equal
+    inputs give identical output. *)
 
 val shim_names : service:string -> caller_lang:string -> string * string
 (** (caller2c, c2callee) symbol names for documentation and tests. *)

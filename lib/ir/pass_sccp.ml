@@ -198,7 +198,9 @@ let run_func (f : Ir.func) =
         | _ -> None)
     | _ -> None
   in
-  (* Phis left with a single executable incoming become copies. *)
+  (* Phis left with a single executable incoming become copies, and so do
+     identity adjustments [gep ptr %x, 0] (the aliases MergeFunc's
+     handler localization introduces). *)
   let copies : (string, Ir.value) Hashtbl.t = Hashtbl.create 16 in
   let live_incoming bi incoming =
     List.filter
@@ -218,6 +220,8 @@ let run_func (f : Ir.func) =
                 match live_incoming bi incoming with
                 | [ (v, _) ] when v <> Ir.Local dst -> Hashtbl.replace copies dst v
                 | _ -> ())
+            | Ir.Gep { dst; base; offset } when eval offset = Const (KInt 0L) ->
+                Hashtbl.replace copies dst base
             | _ -> ())
           b.Ir.instrs)
     blocks;
@@ -236,7 +240,7 @@ let run_func (f : Ir.func) =
     match Analysis.instr_dst i with
     | Some d -> (
         match i with
-        | Ir.Binop _ | Ir.Icmp _ | Ir.Select _ | Ir.Phi _ ->
+        | Ir.Binop _ | Ir.Icmp _ | Ir.Select _ | Ir.Phi _ | Ir.Gep _ ->
             const_for d <> None || Hashtbl.mem copies d
         | _ -> false)
     | None -> false

@@ -3,12 +3,14 @@
     Runs the optimistic three-level lattice (unknown / constant /
     overdefined) over every function's SSA graph, tracking which CFG edges
     are executable: constants discovered through phis and branches that a
-    pessimistic folder like {!Pass_simplify} cannot see.  At the fixpoint,
-    constant instructions are deleted and their uses substituted,
-    conditional branches on known conditions become unconditional, blocks
-    no execution can reach are dropped, and phis lose incomings from
-    removed edges (a single-incoming phi is resolved by copy
-    propagation).
+    pessimistic folder cannot see.  At the fixpoint, constant instructions
+    are deleted and their uses substituted, conditional branches on known
+    conditions become unconditional, blocks no execution can reach are
+    dropped, and phis lose incomings from removed edges.  Two kinds of
+    instruction are resolved by copy propagation: a phi left with a single
+    incoming, and an identity adjustment [gep ptr %x, 0] whose offset is
+    the constant 0 or a local proven 0 (the aliases
+    {!Pass_mergefunc.localize_handler} introduces).
 
     Semantics-preserving by construction on verified modules: division and
     remainder are never folded when the divisor is zero (the runtime trap

@@ -81,29 +81,33 @@ let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
       Hashtbl.replace service_of_symbol (Ast.local_symbol svc) svc)
     members;
   let root_handler = entry_handler root in
-  let merged = ref (checked ~stage:"frontend" (Frontend.compile (lookup root))) in
-  let rounds = ref [] in
-  List.iter
-    (fun callee ->
-      if callee <> root then begin
-        (* Step ①: compile, unless the code is already in the module (§5.4). *)
-        let handler = Ast.handler_symbol callee in
-        (* func_index both answers the probe and warms the memo the rename
-           and merge passes hit on this same module value. *)
-        if Ir.func_index !merged handler = None then begin
-          let callee_module = Frontend.compile (lookup callee) in
-          (* Step ②: RenameFunc. *)
-          let callee_module =
-            Pass_rename.avoid_collisions ~against:!merged ~keep:keep_symbol callee_module
-          in
-          (* Step ③: llvm-link with runtime dedup. *)
-          merged := Linker.link ~dedup_identical:true !merged callee_module
-        end;
-        (* Step ④: MergeFunc. *)
-        let local_name = Ast.local_symbol callee in
-        if Ir.func_index !merged local_name = None then
-          merged := Pass_mergefunc.localize_handler !merged ~handler ~local_name;
-        let callee_lang = (lookup callee).Ast.fn_lang in
+  (* Steps ①–③ for every member in BFS order, then the callee half of
+     step ④: compile unless the code is already in the module (§5.4),
+     RenameFunc, llvm-link with runtime dedup, and localize the handler. *)
+  let link merged svc =
+    let handler = Ast.handler_symbol svc and local_name = Ast.local_symbol svc in
+    (* func_index both answers the probe and warms the memo the rename
+       and merge passes hit on this same module value. *)
+    let merged =
+      if Ir.func_index merged handler <> None then merged
+      else
+        Frontend.compile (lookup svc)
+        |> Pass_rename.avoid_collisions ~against:merged ~keep:keep_symbol
+        |> Linker.link ~dedup_identical:true merged
+    in
+    if Ir.func_index merged local_name <> None then merged
+    else Pass_mergefunc.localize_handler merged ~handler ~local_name
+  in
+  let callees = List.filter (fun svc -> svc <> root) order in
+  let linked =
+    checked ~stage:"link" (List.fold_left link (Frontend.compile (lookup root)) callees)
+  in
+  (* Step ④'s call-site half, once per callee: every member is already in
+     the module, so one rewrite localizes each member-internal site exactly
+     once, whichever member calls it. *)
+  let merged, rounds =
+    List.fold_left_map
+      (fun merged callee ->
         let mode ~caller =
           match Hashtbl.find_opt service_of_symbol caller with
           | Some caller_svc -> (
@@ -112,45 +116,20 @@ let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
               | Guarded alpha -> Pass_mergefunc.Conditional alpha)
           | None -> Pass_mergefunc.Unconditional
         in
-        let m', n =
-          Pass_mergefunc.rewrite_call_sites !merged ~service:callee ~local_name ~callee_lang ~mode
-            ~reset_in:(Some root_handler)
+        let m, n =
+          Pass_mergefunc.rewrite_call_sites merged ~service:callee
+            ~local_name:(Ast.local_symbol callee) ~callee_lang:(lookup callee).Ast.fn_lang ~mode
+            ~reset_in:root_handler
         in
-        merged := checked ~stage:("mergefunc:" ^ callee) m';
-        rounds := (callee, n) :: !rounds
-      end)
-    order;
-  (* A member linked in a later round may itself call an earlier-merged
-     callee; sweep once more so every member-internal site is local. *)
-  List.iter
-    (fun callee ->
-      if callee <> root then begin
-        let local_name = Ast.local_symbol callee in
-        let callee_lang = (lookup callee).Ast.fn_lang in
-        let mode ~caller =
-          match Hashtbl.find_opt service_of_symbol caller with
-          | Some caller_svc -> (
-              match edge_mode ~caller:caller_svc ~callee with
-              | Always_local -> Pass_mergefunc.Unconditional
-              | Guarded alpha -> Pass_mergefunc.Conditional alpha)
-          | None -> Pass_mergefunc.Unconditional
-        in
-        let m', n =
-          Pass_mergefunc.rewrite_call_sites !merged ~service:callee ~local_name ~callee_lang ~mode
-            ~reset_in:(Some root_handler)
-        in
-        merged := checked ~stage:("resweep:" ^ callee) m';
-        if n > 0 then
-          rounds :=
-            List.map (fun (c, k) -> if c = callee then (c, k + n) else (c, k)) !rounds
-      end)
-    order;
+        (checked ~stage:("mergefunc:" ^ callee) m, (callee, n)))
+      linked callees
+  in
+  let merged = ref merged in
   (* Step ⑦: DelayHTTP. *)
   merged := checked ~stage:"delayhttp" (Pass_delayhttp.run !merged);
-  (* Steps ⑧–⑩: scalar simplification (folds the localization aliases and
-     anything constant), the analysis-driven optimization passes, then
-     strip everything unreachable from the entry handler. *)
-  merged := checked ~stage:"simplify" (Pass_simplify.run !merged);
+  (* Steps ⑧–⑩: the analysis-driven optimization passes (SCCP also folds
+     the localization aliases), then strip everything unreachable from the
+     entry handler. *)
   if optimize then begin
     merged := checked ~stage:"shiminline" (Pass_shiminline.run !merged);
     merged := checked ~stage:"sccp" (Pass_sccp.run !merged);
@@ -165,7 +144,7 @@ let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
   merged := { !merged with Ir.mname = Printf.sprintf "quilt-merged.%s" (Ast.mangle root) };
   Verify.check_exn ~strict:true ~stage:"final" !merged;
   {
-    rounds = List.rev !rounds;
+    rounds;
     removed_symbols = before - after;
     languages = Ir.langs !merged;
     merged_module = !merged;

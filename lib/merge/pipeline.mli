@@ -1,16 +1,26 @@
 (** The compilation pipeline of Figure 5: compile every member of a
-    subgraph, merge them two at a time in BFS order from the root, and
-    produce a single deployable module.
+    subgraph, link them in BFS order from the root, localize every
+    cross-function invocation, and produce a single deployable module.
 
-    Per merge round (§5.4): the callee's module is compiled (step ①) unless
-    its code is already present, symbols are renamed to avoid collisions
-    (② RenameFunc), modules are linked with language-runtime deduplication
-    (③ llvm-link), the callee handler is converted to a local function and
-    all matching invocation sites are rewritten (④ MergeFunc), possibly as
-    §5.6 conditional invocations.  After the last round the HTTP-stack
-    initialisation is delayed (⑦ DelayHTTP) and unreferenced functions,
-    runtimes and globals are stripped (⑧–⑩ llc / Implib.so / gc-sections,
-    modelled by global DCE).  The result is verified. *)
+    The work runs in two sweeps.  The first visits every member in BFS
+    order: its module is compiled (step ①) unless its code is already
+    present, symbols are renamed to avoid collisions (② RenameFunc), the
+    module is linked with language-runtime deduplication (③ llvm-link),
+    and its handler is converted to a local function (the callee half of
+    ④ MergeFunc).  The second calls MergeFunc's call-site rewrite once per
+    callee, turning every matching invocation into a local call, possibly
+    as a §5.6 conditional invocation.  Because every member is linked
+    before any site is rewritten, one rewrite per callee reaches every
+    member-internal site, whichever member calls it.  Rewriting per round
+    would miss sites in members linked later and need a second pass, and
+    that pass would guard again the remote fallback a conditional site
+    keeps.  Each site is localized exactly once, so the result is the
+    module §5.4's pairwise rounds describe.
+
+    Afterwards the HTTP-stack initialisation is delayed (⑦ DelayHTTP), the
+    optional optimization passes run, and unreferenced functions, runtimes
+    and globals are stripped (⑧–⑩ llc / Implib.so / gc-sections, modelled
+    by global DCE).  The result is verified. *)
 
 type edge_mode = Always_local | Guarded of int
 (** [Guarded alpha]: the first [alpha] calls per request stay local, later
@@ -18,7 +28,10 @@ type edge_mode = Always_local | Guarded of int
 
 type report = {
   rounds : (string * int) list;
-      (** Per merged callee: number of call sites rewritten. *)
+      (** Per merged callee, in BFS order: number of call sites rewritten.
+          A site in a non-root member counts twice, once in its localized
+          clone and once in its original handler (which the final DCE
+          strips). *)
   removed_symbols : int;  (** Symbols stripped by the final DCE. *)
   languages : string list;  (** Distinct source languages in the result. *)
   merged_module : Quilt_ir.Ir.modul;
@@ -40,9 +53,8 @@ val merge_group :
     [fun ~caller:_ ~callee:_ -> Always_local].
     [optimize] (default [true]) runs the analysis-driven optimization
     passes — {!Quilt_ir.Pass_shiminline}, {!Quilt_ir.Pass_sccp},
-    {!Quilt_ir.Pass_jumpthread}, {!Quilt_ir.Pass_livedce} — after scalar
-    simplification; [false] is the before-arm of [bench/main.exe ir]'s
-    analysis section.
+    {!Quilt_ir.Pass_jumpthread}, {!Quilt_ir.Pass_livedce}; [false] is the
+    before-arm of [bench/main.exe ir]'s analysis section.
     Every stage's output is checked by the strict verifier
     ({!Quilt_ir.Verify.run} with [~strict:true]); an [Error]-severity
     finding fails the merge immediately, naming the stage.

@@ -456,7 +456,7 @@ entry:
   Alcotest.(check (list string)) "unused_symbols agrees" [ "dead"; "unused" ]
     (List.sort compare (Pass_dce.unused_symbols ~roots:[ "root" ] m))
 
-let test_simplify_folds_constants () =
+let test_sccp_folds_constant_chain () =
   let src =
     {|
 define void @main__handler() {
@@ -472,7 +472,7 @@ entry:
 }
 |}
   in
-  let m = Pass_simplify.run (Parser.parse_module src) in
+  let m = Pass_sccp.run (Parser.parse_module src) in
   (match Ir.find_func m "main__handler" with
   | Some f ->
       (* Everything but the three calls folds away. *)
@@ -483,7 +483,7 @@ entry:
   | Ok (res, _) -> Alcotest.(check string) "folded result" "20" res
   | Error e -> Alcotest.fail e
 
-let test_simplify_drops_identity_gep () =
+let test_sccp_drops_identity_gep () =
   let src =
     {|
 define void @main__handler() {
@@ -495,7 +495,7 @@ entry:
 }
 |}
   in
-  let m = Pass_simplify.run (Parser.parse_module src) in
+  let m = Pass_sccp.run (Parser.parse_module src) in
   (match Ir.find_func m "main__handler" with
   | Some f ->
       let geps =
@@ -508,17 +508,19 @@ entry:
   | Ok (res, _) -> Alcotest.(check string) "still echoes" "echo" res
   | Error e -> Alcotest.fail e
 
-let test_simplify_preserves_division_by_zero () =
+let test_sccp_preserves_division_by_zero () =
   (* 1/0 must NOT be folded away or crash the pass; it stays and traps at
      run time, as the unoptimized program would. *)
   let src = "define void @main__handler() {\nentry:\n  %q = sdiv i64 1, 0\n  call void @quilt_send_res(ptr null)\n  ret void\n}" in
-  let m = Pass_simplify.run (Parser.parse_module src) in
+  let m = Pass_sccp.run (Parser.parse_module src) in
   match Ir.find_func m "main__handler" with
   | Some f ->
-      (* %q is dead (unused) so dead-code removal may drop it — but folding
-         must not have produced a bogus constant.  Either the sdiv remains
-         or it was dropped as dead; both preserve semantics of uses (none).  *)
-      ignore f
+      (* Folding must not have produced a bogus constant: the sdiv stays. *)
+      let sdivs =
+        List.concat_map (fun (b : Ir.block) -> b.Ir.instrs) f.Ir.blocks
+        |> List.filter (fun i -> match i with Ir.Binop { op = Ir.Sdiv; _ } -> true | _ -> false)
+      in
+      Alcotest.(check int) "sdiv kept" 1 (List.length sdivs)
   | None -> Alcotest.fail "function missing"
 
 let test_delayhttp_moves_init () =
@@ -599,9 +601,9 @@ let suite =
         Alcotest.test_case "rename avoids collisions" `Quick test_rename_avoids_collisions;
         Alcotest.test_case "rename updates references" `Quick test_rename_updates_references;
         Alcotest.test_case "dce strips unreachable" `Quick test_dce_strips_unreachable;
-        Alcotest.test_case "simplify folds constants" `Quick test_simplify_folds_constants;
-        Alcotest.test_case "simplify drops identity gep" `Quick test_simplify_drops_identity_gep;
-        Alcotest.test_case "simplify and division by zero" `Quick test_simplify_preserves_division_by_zero;
+        Alcotest.test_case "sccp folds constant chain" `Quick test_sccp_folds_constant_chain;
+        Alcotest.test_case "sccp drops identity gep" `Quick test_sccp_drops_identity_gep;
+        Alcotest.test_case "sccp and division by zero" `Quick test_sccp_preserves_division_by_zero;
         Alcotest.test_case "delayhttp" `Quick test_delayhttp_moves_init;
       ] );
   ]

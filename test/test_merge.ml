@@ -285,6 +285,92 @@ let test_conditional_counter_resets_per_request () =
           Alcotest.(check bool) "counter reset at entry" true has_reset
       | [] -> Alcotest.fail "no blocks")
 
+(* Each member-internal call site is rewritten exactly once, so under
+   §5.6 guarding it carries one counter check, each counter is reset once
+   per request, and [rounds] counts each site once.  A second rewrite of
+   the same callee would match the remote fallback a guarded site keeps
+   and wrap it in another guard. *)
+module Workflow = Quilt_apps.Workflow
+
+let deathstar_workflow ~async name =
+  List.find (fun wf -> wf.Workflow.wf_name = name) (Quilt_apps.Deathstar.all ~async ())
+
+let merge_guarded (wf : Workflow.t) =
+  Pipeline.merge_group ~lookup:(Workflow.lookup wf) ~members:(Workflow.fn_names wf)
+    ~root:wf.Workflow.entry
+    ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 2)
+    ()
+
+let is_counter g = String.length g >= 5 && String.sub g 0 5 = "qcnt_"
+
+let test_one_guard_per_site () =
+  List.iter
+    (fun name ->
+      let wf = deathstar_workflow ~async:false name in
+      let root = wf.Workflow.entry in
+      let report = merge_guarded wf in
+      let m = report.Pipeline.merged_module in
+      let instrs (f : Ir.func) = List.concat_map (fun (b : Ir.block) -> b.Ir.instrs) f.Ir.blocks in
+      (* (caller, callee) per invocation in the sources; all are member-internal. *)
+      let sites =
+        List.concat_map
+          (fun (f : Ast.fn) ->
+            List.map (fun (callee, _) -> (f.Ast.fn_name, callee)) (Ast.invocations f.Ast.body))
+          wf.Workflow.functions
+      in
+      let guards =
+        List.concat_map instrs m.Ir.funcs
+        |> List.filter_map (fun (i : Ir.instr) ->
+               match i with
+               | Ir.Load { ptr = Ir.Const (Ir.Cglobal g); _ } when is_counter g -> Some g
+               | _ -> None)
+      in
+      Alcotest.(check int) (name ^ ": one guard per site") (List.length sites) (List.length guards);
+      let resets =
+        match Ir.find_func m report.Pipeline.entry with
+        | Some f ->
+            List.filter_map
+              (fun (i : Ir.instr) ->
+                match i with
+                | Ir.Store { src = Ir.Const (Ir.Cint (_, 0L)); ptr = Ir.Const (Ir.Cglobal g); _ }
+                  when is_counter g ->
+                    Some g
+                | _ -> None)
+              (instrs f)
+        | None -> Alcotest.fail "entry handler missing"
+      in
+      Alcotest.(check (list string)) (name ^ ": each counter reset once")
+        (List.sort_uniq compare resets) (List.sort compare resets);
+      Alcotest.(check bool) (name ^ ": every guard's counter is reset") true
+        (List.for_all (fun g -> List.mem g resets) guards);
+      (* The sweep sees a non-root caller twice: its localized clone and its
+         original handler (stripped by the final DCE). *)
+      let expected_rounds =
+        List.map
+          (fun (callee, _) ->
+            ( callee,
+              List.fold_left
+                (fun acc (caller, c) ->
+                  if c <> callee then acc else if caller = root then acc + 1 else acc + 2)
+                0 sites ))
+          report.Pipeline.rounds
+      in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": rounds count each site once")
+        expected_rounds report.Pipeline.rounds)
+    [ "follow-with-uname"; "compose-review" ]
+
+let test_guarded_merge_deterministic () =
+  (* Fresh labels come from the input alone: two uncached merges of one
+     group print identically. *)
+  let wf = deathstar_workflow ~async:true "compose-post" in
+  let text () =
+    Pipeline.reset_cache ();
+    Quilt_ir.Pp.to_string (merge_guarded wf).Pipeline.merged_module
+  in
+  let first = text () in
+  Alcotest.(check string) "identical text" first (text ())
+
 let test_dce_removes_dead_handlers () =
   let fns = [ front "rust"; middle "rust"; leaf "rust" ] in
   let report = merge fns ~members:[ "front"; "middle"; "leaf" ] ~root:"front" () in
@@ -492,6 +578,8 @@ let suite =
         Alcotest.test_case "below alpha: all local" `Quick test_conditional_invocation_below_alpha;
         Alcotest.test_case "above alpha: overflow remote" `Quick test_conditional_invocation_above_alpha;
         Alcotest.test_case "counter reset per request" `Quick test_conditional_counter_resets_per_request;
+        Alcotest.test_case "one guard per site" `Quick test_one_guard_per_site;
+        Alcotest.test_case "deterministic labels" `Quick test_guarded_merge_deterministic;
       ] );
     ( "merge.fanout",
       [
