@@ -24,8 +24,8 @@ let post_shift_p99 (o : Scenario.outcome) =
 
 let run_pair ~smoke name =
   match
-    ( Scenario.run ~smoke ~with_controller:true name,
-      Scenario.run ~smoke ~with_controller:false name )
+    ( Scenario.run ~smoke ~domains:(domains ()) ~with_controller:true name,
+      Scenario.run ~smoke ~domains:(domains ()) ~with_controller:false name )
   with
   | Ok adaptive, Ok stale -> (adaptive, stale)
   | Error e, _ | _, Error e -> failwith (Printf.sprintf "scenario %s: %s" name e)

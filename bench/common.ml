@@ -15,6 +15,15 @@ let fast = Sys.getenv_opt "QUILT_BENCH_FAST" <> None
 
 let scale x = if fast then x /. 4.0 else x
 
+(* `bench/main.exe --domains N` sets this; [None] means the machine's
+   recommended domain count. *)
+let domains_override : int option ref = ref None
+
+let domains () = match !domains_override with Some d -> d | None -> Pool.default_domains ()
+
+(* [Config.default] with the harness's decision domains. *)
+let config () = { Config.default with Config.domains = domains () }
+
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 

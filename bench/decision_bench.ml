@@ -4,18 +4,17 @@
    Sections, each writing its own key into BENCH_decision.json:
    - the Figure-8b decision-time sweep vs graph size (promoted here from
      the fig8 section; `fig8b` now delegates to this module);
-   - shared-incumbent parallel exact search vs the sequential reference on
-     the n=200/seed-1200 instance, at 1/2/4/8 domains, with bit-identity
-     asserted row by row;
-   - portfolio `Decision.auto` parity (parallel == sequential output);
+   - the shared-incumbent exact search vs the unpruned reference
+     [Closure.solve_exact] on the n=200/seed-1200 instance, at 1/2/4/8
+     domains, with bit-identity asserted row by row;
    - warm-start incremental re-decision vs a from-scratch solve after a
      single-group drift;
    - bechamel micro rows for the decision algorithms (promoted from the
      micro section).
 
-   All parallel rows must return solutions bit-identical to their
-   sequential counterparts — the bench aborts if they do not, so a parity
-   regression cannot silently ship plausible-looking speedups. *)
+   Every exact-search row must return the solution bit-identical to the
+   reference — the bench aborts if it does not, so a parity regression
+   cannot silently ship plausible-looking speedups. *)
 
 open Common
 module Gen = Quilt_dag.Gen
@@ -29,9 +28,6 @@ module Optimal = Quilt_cluster.Optimal
 module Rng = Quilt_util.Rng
 
 let smoke_flag = ref false
-
-(* `bench/main.exe --domains N` narrows the domain sweep to {1, N}. *)
-let domains_override : int option ref = ref None
 
 let reps () = if fast || !smoke_flag then 1 else 3
 
@@ -52,7 +48,7 @@ let assert_identical ~what a b =
   match (a, b) with
   | Some a, Some b when solution_sig a = solution_sig b -> ()
   | None, None -> ()
-  | _ -> failwith (Printf.sprintf "decision bench: %s diverged from the sequential result" what)
+  | _ -> failwith (Printf.sprintf "decision bench: %s diverged from the reference result" what)
 
 (* --- Figure 8b sweep (promoted from bench/fig8.ml) --- *)
 
@@ -68,7 +64,7 @@ let sweep () =
      join.  Solver outputs stay bit-identical to a sequential run — only the
      wall-clock medians carry scheduling noise. *)
   let rows =
-    Pool.map
+    Pool.map ~domains:(domains ())
       (fun n ->
         let g, lim = graph_of n in
         let opt = if n <= 12 then Some (decision_time Decision.Optimal g lim) else None in
@@ -103,7 +99,7 @@ let sweep () =
       "Downstream Impact takes <0.27s (median) up to 200 nodes and ~3.1s at 800 nodes.";
     ]
 
-(* --- shared-incumbent parallel exact search --- *)
+(* --- shared-incumbent exact search --- *)
 
 (* An in-cap exact instance on the full n=200 graph: the graph root plus
    the highest-weighted-in-degree candidates (grown one at a time under the
@@ -152,13 +148,14 @@ let exact_instance g lim ~k =
   (roots, scaled (feasible_scale 1.0))
 
 let domain_rows () =
+  (* `bench/main.exe --domains N` narrows the domain sweep to {1, N}. *)
   let base = if !smoke_flag then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   match !domains_override with
   | None -> base
   | Some d -> List.sort_uniq compare [ 1; d ]
 
 let run_exact () =
-  subsection "parallel exact search: shared-incumbent B&B vs sequential";
+  subsection "exact search: shared-incumbent B&B vs the unpruned reference";
   let g, lim0 = graph_of 200 in
   let k = if !smoke_flag then 10 else 14 in
   let roots, lim = exact_instance g lim0 ~k in
@@ -170,8 +167,8 @@ let run_exact () =
   in
   let seq = !seq_ref in
   (match seq with
-  | Some s -> Printf.printf "  %-12s %10.4fs   cost %d\n" "sequential" t_seq s.Types.cost
-  | None -> Printf.printf "  %-12s %10.4fs   (infeasible)\n" "sequential" t_seq);
+  | Some s -> Printf.printf "  %-12s %10.4fs   cost %d\n" "reference" t_seq s.Types.cost
+  | None -> Printf.printf "  %-12s %10.4fs   (infeasible)\n" "reference" t_seq);
   let rows =
     List.map
       (fun d ->
@@ -191,8 +188,9 @@ let run_exact () =
     ([
        ("note",
         Json.str
-          "shared-incumbent branch-and-bound (greedy-warmed) vs sequential solve_exact on the \
-           n=200/seed-1200 rDAG; identical=true means the parallel solution was bit-identical");
+          "shared-incumbent branch-and-bound (Closure.solve_exact_par) vs the unpruned \
+           reference Closure.solve_exact on the n=200/seed-1200 rDAG; identical=true means \
+           every row's solution was bit-identical to the reference");
        ("smoke", Json.Bool !smoke_flag);
        ("roots", Json.int (List.length roots));
        ("sequential_s", Json.Float t_seq);
@@ -202,43 +200,6 @@ let run_exact () =
         (fun (d, t) ->
           ( Printf.sprintf "domains_%d" d,
             Json.Obj [ ("s", Json.Float t); ("speedup", Json.Float (t_seq /. t)) ] ))
-        rows)
-
-(* --- portfolio parity --- *)
-
-let run_portfolio () =
-  subsection "portfolio auto: racing arms, sequential output";
-  let rows =
-    List.map
-      (fun n ->
-        let g, lim = graph_of n in
-        let seq_r = ref None and par_r = ref None in
-        let t_seq =
-          median_time ~reps:(reps ()) (fun () -> seq_r := Decision.auto ~domains:1 g lim)
-        in
-        let d = match !domains_override with Some d -> max 2 d | None -> 4 in
-        let t_par =
-          median_time ~reps:(reps ()) (fun () -> par_r := Decision.auto ~domains:d g lim)
-        in
-        assert_identical ~what:(Printf.sprintf "portfolio auto (n=%d)" n) !par_r !seq_r;
-        Printf.printf "  n=%-4d seq %8.4fs   portfolio(%d domains) %8.4fs   identical\n" n t_seq d
-          t_par;
-        (n, t_seq, t_par))
-      [ 10; 12 ]
-  in
-  record_timings ~key:"portfolio_auto"
-    ([
-       ("note",
-        Json.str
-          "Decision.auto with racing DIH/GRASP arms warming the exact sweep vs sequential auto; \
-           outputs asserted bit-identical");
-       ("smoke", Json.Bool !smoke_flag);
-       ("identical", Json.Bool true);
-     ]
-    @ List.map
-        (fun (n, ts, tp) ->
-          ( Printf.sprintf "n%d" n,
-            Json.Obj [ ("sequential_s", Json.Float ts); ("portfolio_s", Json.Float tp) ] ))
         rows)
 
 (* --- warm-start incremental re-decision --- *)
@@ -350,14 +311,13 @@ let run_micro () =
     (List.rev_map (fun (name, us) -> (name, Json.Float us)) !recorded)
 
 let run () =
-  section "Decision time: sweep, parallel exact, portfolio, incremental";
+  section "Decision time: sweep, exact search, incremental";
   sweep ();
   run_exact ();
-  run_portfolio ();
   run_redecision ();
   run_micro ();
   paper_note
     [
-      "not in the paper: the parallel decision subsystem is this reproduction's own;";
-      "every parallel row is asserted bit-identical to the sequential solver output.";
+      "not in the paper: the shared-incumbent exact search is this reproduction's own;";
+      "every exact-search row is asserted bit-identical to the unpruned reference.";
     ]

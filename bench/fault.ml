@@ -19,7 +19,7 @@ let smoke_flag = ref false
 let seed_ref = ref 0
 
 let run_matrix_or_fail ~smoke ~seed ?scenario_filter ~policy ~policy_name () =
-  match Fs.run_matrix ~smoke ~seed ?scenario_filter ~policy ~policy_name () with
+  match Fs.run_matrix ~smoke ~seed ~domains:(domains ()) ?scenario_filter ~policy ~policy_name () with
   | Ok os -> os
   | Error e -> failwith (Printf.sprintf "fault matrix (%s): %s" policy_name e)
 
@@ -31,7 +31,7 @@ let penalty_sweep ~smoke ~seed =
   let wf = { wf with Quilt_apps.Workflow.gen_req = Special.routed_req ~b_share:0.3 } in
   let base_cfg =
     {
-      Config.default with
+      (config ()) with
       Config.cpu_budget_ms = 6.5;
       profile_duration_us = (if smoke then 8_000_000.0 else 20_000_000.0);
       seed = 1 + seed;

@@ -7,8 +7,6 @@ open Common
 module Deathstar = Quilt_apps.Deathstar
 module Loadgen = Quilt_platform.Loadgen
 
-let cfg = Config.default
-
 let duration_for wf =
   (* HR functions run for seconds; give them a longer window for a stable
      median. *)
@@ -17,7 +15,7 @@ let duration_for wf =
 
 let run_workflow ~mode wf =
   let duration_us = duration_for wf in
-  let t = optimize_or_fail cfg wf in
+  let t = optimize_or_fail (config ()) wf in
   let baseline_engine = Quilt.fresh_platform ~workflows:[ wf ] () in
   let b =
     latency_run baseline_engine ~entry:wf.Workflow.entry ~gen_req:wf.Workflow.gen_req ~duration_us

@@ -28,7 +28,7 @@ let prewarm engine ~entry ~gen_req =
    (Pool.map, input order preserved) with byte-identical results to a
    sequential sweep. *)
 let sweep ~make_engine ~entry ~gen_req =
-  Pool.map
+  Pool.map ~domains:(domains ())
     (fun rate ->
       let engine = make_engine () in
       prewarm engine ~entry ~gen_req;
@@ -57,7 +57,7 @@ let peak rows = Quilt_util.Stats.maximum (List.map (fun (_, _, t, _) -> t) rows)
 let run_mode ~async =
   let mode_name = if async then "async" else "sync" in
   subsection (Printf.sprintf "Figure 7 (%s): compose-post latency/throughput vs load" mode_name);
-  let cfg = Config.default in
+  let cfg = config () in
   let wfs = Deathstar.social_network ~async () in
   let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
   let t = optimize_or_fail cfg compose in
@@ -107,7 +107,7 @@ let run_7c () =
      is raised so the decision splits on CPU, not memory. *)
   let cfg =
     {
-      Config.default with
+      (config ()) with
       Config.vcpus = 1.6;
       mem_limit_mb = 320.0;
       cpu_budget_ms = 45.0;
@@ -139,7 +139,7 @@ let run_7c () =
   in
   let rates7c = if fast then [ 10.0; 200.0; 1600.0 ] else [ 10.0; 25.0; 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 ] in
   let sweep7c make =
-    Pool.map
+    Pool.map ~domains:(domains ())
       (fun rate ->
         let engine = make () in
         prewarm engine ~entry ~gen_req;

@@ -26,7 +26,7 @@ let run_8a () =
      per engine, so fanning the points out across domains (Pool.map keeps
      input order) returns exactly the sequential results. *)
   let run ~profiled =
-    Pool.map
+    Pool.map ~domains:(domains ())
       (fun rate ->
         let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
         Engine.set_profiling engine profiled;

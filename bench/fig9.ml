@@ -29,7 +29,7 @@ let run () =
          folded exactly like the old sequential accumulation, keeping the
          aggregate statistics bit-identical. *)
       let per_rep =
-        Pool.map
+        Pool.map ~domains:(domains ())
           (fun rep ->
             let rng = Rng.create ((n * 7919) + rep) in
             let g, lims = Gen.random_rdag rng ~n ~heavy_fraction:0.15 () in

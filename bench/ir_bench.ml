@@ -226,7 +226,6 @@ let run () =
 
   Common.record_timings ~file:"BENCH_ir.json" ~key:"ir"
     [
-      ("engine_default", Json.String (Vm.engine_name ()));
       ("iters_per_batch", Json.Int iters);
       ("batches", Json.Int samples);
       ("workloads", Json.List rows);

@@ -11,7 +11,7 @@ let experiments =
     ("fig8b", Fig8.run_8b, "decision-time sweep only (alias for the decision bench's sweep)");
     ( "decision",
       Decision_bench.run,
-      "decision time: sweep, parallel exact, portfolio, incremental (writes BENCH_decision.json)" );
+      "decision time: sweep, parallel exact, incremental (writes BENCH_decision.json)" );
     ("fig9", Fig9.run, "decision quality on random rDAGs (Figure 9)");
     ("fig10", Fig10.run, "conditional invocations under fan-out (Figure 10)");
     ("table_e", Table_e.run, "binary sizes (Appendix E)");
@@ -63,14 +63,12 @@ let () =
     | [] -> []
   in
   let args = strip_seed args in
-  (* --domains N: cap the decision bench's domain sweep at {1, N} and make
-     N the process-wide Pool default (N=1 forces the sequential paths). *)
+  (* --domains N: the domain count for every fan-out and decision in the
+     harness; also caps the decision bench's domain sweep at {1, N}. *)
   let rec strip_domains = function
     | "--domains" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some d when d >= 1 ->
-            Decision_bench.domains_override := Some d;
-            Unix.putenv "QUILT_POOL_DOMAINS" (string_of_int d)
+        | Some d when d >= 1 -> Common.domains_override := Some d
         | Some _ | None ->
             Printf.eprintf "--domains expects an integer >= 1, got %S\n" n;
             exit 1);

@@ -89,7 +89,7 @@ let run_overhead () =
    the call graph from the recorder alone, re-decide, and compare the
    grouping fingerprint with the decision taken from ground truth. *)
 let agreement_run ~wf ~seed ~period ~rate_rps ~duration_us =
-  let cfg = { Config.default with Config.seed = Config.default.Config.seed + seed } in
+  let cfg = { (Common.config ()) with Config.seed = Config.default.Config.seed + seed } in
   let truth = Common.optimize_or_fail cfg wf in
   let engine = Quilt.fresh_platform ~seed:(7 + seed) ~workflows:[ wf ] () in
   let r = Recorder.create ~sample_period:period ~seed () in

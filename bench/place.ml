@@ -166,7 +166,7 @@ let joint_decision ~smoke ~seed =
   let wf = routed () in
   let cfg =
     {
-      Config.default with
+      (config ()) with
       Config.cpu_budget_ms = 6.5;
       profile_duration_us = (if smoke then 8_000_000.0 else 20_000_000.0);
       seed = 1 + seed;

@@ -85,17 +85,15 @@ let merge_cmd async dump_ir req name =
   List.iter
     (fun (callee, sites) -> Printf.printf "  merged %-24s (%d call sites rewritten)\n" callee sites)
     report.Pipeline.rounds;
-  (* Validation run on the default engine (QVM; QUILT_TREEWALK=1 falls back
-     to the tree-walker). *)
+  (* Validation run on the QVM. *)
   let req =
     match req with Some r -> r | None -> wf.Workflow.gen_req (Quilt_util.Rng.create 1)
   in
   (match Pipeline.validate ~host:Quilt_ir.Interp.echo_host report ~req with
   | Ok (res, stats) ->
-      Printf.printf "validated on %s engine: %s -> %s (%d steps)\n"
-        (Quilt_ir.Vm.engine_name ()) req res stats.Quilt_ir.Interp.steps
+      Printf.printf "validated: %s -> %s (%d steps)\n" req res stats.Quilt_ir.Interp.steps
   | Error e ->
-      Printf.eprintf "validation on %s engine failed: %s\n" (Quilt_ir.Vm.engine_name ()) e;
+      Printf.eprintf "validation failed: %s\n" e;
       exit 1);
   if dump_ir then print_string (Quilt_ir.Pp.to_string report.Pipeline.merged_module)
 
@@ -211,11 +209,11 @@ let with_engine_stats enabled f =
         (100.0 *. float_of_int hits /. float_of_int lookups)
   end
 
-let adapt_cmd (seed, smoke, engine_stats) no_controller incremental scenario =
+let adapt_cmd (seed, smoke, engine_stats, domains) no_controller incremental scenario =
   with_engine_stats engine_stats @@ fun () ->
   let run wc =
     match
-      Quilt_control.Scenario.run ~smoke ~seed ~incremental_redecide:incremental
+      Quilt_control.Scenario.run ~smoke ~seed ~incremental_redecide:incremental ~domains
         ~with_controller:wc scenario
     with
     | Ok o -> o
@@ -239,7 +237,7 @@ let adapt_cmd (seed, smoke, engine_stats) no_controller incremental scenario =
     | _ -> ()
   end
 
-let chaos_cmd (seed, smoke, engine_stats) policy_name scenario =
+let chaos_cmd (seed, smoke, engine_stats, domains) policy_name scenario =
   with_engine_stats engine_stats @@ fun () ->
   let module Fs = Quilt_fault.Scenario in
   let module Policy = Quilt_fault.Policy in
@@ -253,7 +251,7 @@ let chaos_cmd (seed, smoke, engine_stats) policy_name scenario =
         exit 1
   in
   let scenario_filter = if scenario = "all" then None else Some scenario in
-  match Fs.run_matrix ~smoke ~seed ~scenario_filter ~policy ~policy_name () with
+  match Fs.run_matrix ~smoke ~seed ~domains ~scenario_filter ~policy ~policy_name () with
   | Error e ->
       Printf.eprintf "chaos failed: %s\n" e;
       exit 1
@@ -262,7 +260,7 @@ let chaos_cmd (seed, smoke, engine_stats) policy_name scenario =
         (if smoke then ", smoke" else "");
       List.iter Fs.print_outcome outcomes
 
-let place_cmd async policy_name rate duration (seed, smoke, engine_stats) rebalance name =
+let place_cmd async policy_name rate duration (seed, smoke, engine_stats, _domains) rebalance name =
   with_engine_stats engine_stats @@ fun () ->
   let duration = if smoke then Float.min duration 6.0 else duration in
   let module Topology = Quilt_place.Topology in
@@ -346,7 +344,7 @@ let place_cmd async policy_name rate duration (seed, smoke, engine_stats) rebala
    attached, close the profile→merge loop by re-deciding from the observed
    spans, and export Chrome-trace / folded-flamegraph / metrics files. *)
 let obs_cmd async rate duration sample trace_out flame_out metrics_out
-    (seed, smoke, engine_stats) name =
+    (seed, smoke, engine_stats, domains) name =
   with_engine_stats engine_stats @@ fun () ->
   let module Recorder = Quilt_obs.Recorder in
   let module Profiler = Quilt_obs.Profiler in
@@ -354,7 +352,7 @@ let obs_cmd async rate duration sample trace_out flame_out metrics_out
   let module Export = Quilt_obs.Export in
   let wf = find_workflow ~async name in
   let duration = if smoke then Float.min duration 6.0 else duration in
-  let cfg = { Config.default with Config.seed = Config.default.Config.seed + seed } in
+  let cfg = { Config.default with Config.seed = Config.default.Config.seed + seed; domains } in
   let plan =
     match Quilt.optimize cfg ~workflows:[ wf ] wf with
     | Ok t -> t
@@ -511,20 +509,21 @@ let domains_flag =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Domain-pool width for the parallel decision paths (default: \
-           QUILT_POOL_DOMAINS, else the machine's recommended domain count). \
-           $(docv)=1 forces the sequential solvers, like QUILT_SEQUENTIAL=1.")
+          "Domains the merge decision may fan out over (default: the machine's recommended \
+           domain count).  Decisions are the same at every value.")
 
 let run_flags =
   Term.(
     const (fun seed smoke engine_stats domains ->
-        (match domains with
-        | Some d when d >= 1 -> Unix.putenv "QUILT_POOL_DOMAINS" (string_of_int d)
-        | Some d ->
-            Printf.eprintf "--domains expects an integer >= 1, got %d\n" d;
-            Stdlib.exit 1
-        | None -> ());
-        (seed, smoke, engine_stats))
+        let domains =
+          match domains with
+          | None -> Config.default.Config.domains
+          | Some d when d >= 1 -> d
+          | Some d ->
+              Printf.eprintf "--domains expects an integer >= 1, got %d\n" d;
+              Stdlib.exit 1
+        in
+        (seed, smoke, engine_stats, domains))
     $ seed_flag $ smoke_flag $ engine_stats_flag $ domains_flag)
 
 let rate_flag default =

@@ -157,8 +157,8 @@ type choice = {
 (* Everything the exact search needs that does not depend on the search
    strategy: normalized roots, root-targeted edge array and the per-root
    feasible choices sorted ascending by own cut weight.  Shared by the
-   sequential and the parallel searches so both explore choices in the same
-   order — the basis of the bit-identical-output guarantee. *)
+   reference {!solve_exact} and the bounded search so both explore choices
+   in the same order — the basis of the bit-identical-output guarantee. *)
 type exact_instance = {
   xi_roots : int list;
   xi_k : int;
@@ -176,7 +176,7 @@ let mask_weight redges mask =
 let prepare_exact ?(prune = false) (g : Callgraph.t) (lim : Types.limits) ~roots =
   let roots = normalize_roots g roots in
   let k = List.length roots in
-  if k > exact_max_roots then invalid_arg "Closure.solve_exact: too many roots (use solve_greedy)";
+  if k > exact_max_roots then invalid_arg "Closure: too many roots for the exact search (use solve_greedy)";
   let is_root = root_bitset g roots in
   (* Edges whose target is a root are the only cuttable edges. *)
   let root_edges =
@@ -184,7 +184,7 @@ let prepare_exact ?(prune = false) (g : Callgraph.t) (lim : Types.limits) ~roots
   in
   let n_redges = List.length root_edges in
   if n_redges > exact_max_root_edges then
-    invalid_arg "Closure.solve_exact: too many root-targeted edges";
+    invalid_arg "Closure: too many root-targeted edges for the exact search";
   let redge_arr = Array.of_list root_edges in
   let closures = Array.make (Callgraph.n_nodes g) (Bitset.create 0) in
   List.iter (fun r -> closures.(r) <- nr_closure_bits g ~is_root r) roots;
@@ -560,30 +560,24 @@ let solve_greedy (g : Callgraph.t) (lim : Types.limits) ~roots =
     Some (build_solution g roots choices)
   end
 
-(* --- Shared-incumbent parallel branch-and-bound --- *)
+(* --- Shared-incumbent branch-and-bound --- *)
 
 module Pool = Quilt_util.Pool
-
-(* Counts entries into the bounded (incumbent-driven) search.  Tests use it
-   to assert that QUILT_SEQUENTIAL=1 keeps every decision on the plain
-   sequential [solve_exact] path. *)
-let bounded_searches = Atomic.make 0
-let bounded_search_count () = Atomic.get bounded_searches
 
 let rec atomic_min a v =
   let cur = Atomic.get a in
   if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
 
-(* Parallel exact search over prefix subtrees.
+(* Exact search over prefix subtrees, on one domain or several.
 
-   The sequential search explores root 0's choices in ascending-own-weight
-   order and within each, roots 1..k-1 depth-first; its result is the
+   {!solve_exact} explores root 0's choices in ascending-own-weight order
+   and within each, roots 1..k-1 depth-first; its result is the
    lexicographically first (in sorted-choice order) cost-optimal assignment.
-   The parallel search reproduces exactly that assignment:
+   This search reproduces exactly that assignment:
 
    - each subtree t (one choice for root 0) is explored independently with
-     the {e same} strict local pruning the sequential search uses, so a
-     subtree's recorded best is the lex-first optimum within the subtree;
+     the {e same} strict local pruning {!solve_exact} uses, so a subtree's
+     recorded best is the lex-first optimum within the subtree;
    - the shared incumbent is only an {e additional, inclusive} bound
      ([acc <= incumbent]): since every published cost is the cost of a real
      assignment, the incumbent never drops below the global optimum C*, and
@@ -591,37 +585,17 @@ let rec atomic_min a v =
      explorable no matter which worker published C* first;
    - the final scan selects the first subtree (in sorted order) achieving
      the minimum — first-finisher timing cannot leak into the result. *)
-let bounded_search ?(domains = 1) ?deadline ~incumbent g (xi : exact_instance) =
-  Atomic.incr bounded_searches;
+let bounded_search ~domains ~incumbent g (xi : exact_instance) =
   let { xi_k = k; xi_redges; xi_sorted = sorted_choices; _ } = xi in
   let weight_of_mask mask = mask_weight xi_redges mask in
-  let subtrees = sorted_choices.(0) in
-  let explore t (c0 : choice) =
-    ignore t;
-    (* Time-budget support (portfolio racing): cheap amortized clock check.
-       Once expired, the worker stops expanding and reports its best so
-       far.  Only ever active when the caller opted into a budget — the
-       default path has no clock reads and stays deterministic. *)
-    let expired = ref false in
-    let tick = ref 0 in
-    let within_budget () =
-      match deadline with
-      | None -> true
-      | Some dl ->
-          if !expired then false
-          else begin
-            incr tick;
-            if !tick land 2047 = 0 && Sys.time () > dl then expired := true;
-            not !expired
-          end
-    in
+  let explore (c0 : choice) =
     let local_best = ref max_int in
     let best_pick = Array.make k None in
     let current = Array.make k None in
     current.(0) <- Some c0;
     let rec search idx acc_mask =
       let acc_weight = weight_of_mask acc_mask in
-      if acc_weight < !local_best && acc_weight <= Atomic.get incumbent && within_budget () then begin
+      if acc_weight < !local_best && acc_weight <= Atomic.get incumbent then begin
         if idx = k then begin
           local_best := acc_weight;
           Array.blit current 0 best_pick 0 k;
@@ -638,7 +612,7 @@ let bounded_search ?(domains = 1) ?deadline ~incumbent g (xi : exact_instance) =
     search 1 c0.cut_mask;
     if !local_best = max_int then None else Some (!local_best, Array.copy best_pick)
   in
-  let results = Pool.mapi_array ~domains explore subtrees in
+  let results = Pool.map_array ~domains explore sorted_choices.(0) in
   let best = ref None in
   Array.iter
     (fun r ->
@@ -649,30 +623,17 @@ let bounded_search ?(domains = 1) ?deadline ~incumbent g (xi : exact_instance) =
     results;
   match !best with None -> None | Some (_, pick) -> solution_of_pick g xi pick
 
-let solve_exact_par ?domains ?incumbent ?deadline ?(warm = true) (g : Callgraph.t)
-    (lim : Types.limits) ~roots =
-  let d =
-    let requested = match domains with Some d -> d | None -> Pool.default_domains () in
-    if Pool.sequential_forced () then 1 else max 1 requested
-  in
-  if Pool.sequential_forced () || (d <= 1 && incumbent = None && not warm) then solve_exact g lim ~roots
-  else
-    match prepare_exact ~prune:true g lim ~roots with
-    | None -> None
-    | Some xi ->
-        let incumbent =
-          match incumbent with Some a -> a | None -> Atomic.make max_int
-        in
-        if warm then (
-          match solve_greedy g lim ~roots with
-          | Some s -> atomic_min incumbent s.Types.cost
-          | None -> ());
-        bounded_search ~domains:d ?deadline ~incumbent g xi
+let solve_exact_par ?domains ?incumbent (g : Callgraph.t) (lim : Types.limits) ~roots =
+  let domains = max 1 (match domains with Some d -> d | None -> Pool.default_domains ()) in
+  match prepare_exact ~prune:true g lim ~roots with
+  | None -> None
+  | Some xi ->
+      let incumbent = match incumbent with Some a -> a | None -> Atomic.make max_int in
+      bounded_search ~domains ~incumbent g xi
 
 (* Minimum instance size for which fanning the exact search out over
-   domains beats the spawn cost; below it, the bounded search still runs
-   (incumbent pruning is worthwhile at any size) but on the calling domain
-   only. *)
+   domains beats the spawn cost; below it the search runs on the calling
+   domain only. *)
 let par_min_roots = 8
 
 let solve ?(domains = 1) ?incumbent g lim ~roots =
@@ -683,9 +644,5 @@ let solve ?(domains = 1) ?incumbent g lim ~roots =
     List.length (List.filter (fun (e : Callgraph.edge) -> Bitset.mem is_root e.Callgraph.dst) g.Callgraph.edges)
   in
   if k <= exact_max_roots && n_redges <= exact_max_root_edges then
-    if Pool.sequential_forced () || (incumbent = None && (domains <= 1 || k < par_min_roots)) then
-      solve_exact g lim ~roots
-    else
-      let domains = if k < par_min_roots then 1 else domains in
-      solve_exact_par ~domains ?incumbent ~warm:false g lim ~roots
+    solve_exact_par ~domains:(if k < par_min_roots then 1 else domains) ?incumbent g lim ~roots
   else solve_greedy g lim ~roots

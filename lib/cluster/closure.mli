@@ -22,18 +22,16 @@
     instead of rebuilding the solution per candidate. *)
 
 val exact_max_roots : int
-(** Largest root-set size the exact solver accepts; {!solve} dispatches to
-    {!solve_greedy} above it.  The same cap is enforced by the higher-level
-    dispatchers — [Decision.solve]/[Decision.auto] and the portfolio arms
-    they race — which route over-cap instances to heuristic solvers, so no
-    caller reaches the exact search past the boundary.  Shared so the
-    dispatchers and the solver can never disagree about it. *)
+(** Largest root-set size the exact search accepts; {!solve} dispatches to
+    {!solve_greedy} above it.  [Decision.auto] only reaches the exact search
+    through {!solve} or in the ≤ 12-vertex regime, so no caller passes the
+    boundary.  Shared so the dispatchers and the solver can never disagree
+    about it. *)
 
 val exact_max_root_edges : int
-(** Largest number of root-targeted edges the exact solver accepts (its cut
-    masks live in one [int]); a dispatch boundary exactly like
-    {!exact_max_roots}, enforced both by {!solve} and by the
-    [Decision]-level/portfolio dispatch. *)
+(** Largest number of root-targeted edges the exact search accepts (its
+    cut masks live in one [int]); a dispatch boundary exactly like
+    {!exact_max_roots}, enforced by {!solve}. *)
 
 val nr_closure : Quilt_dag.Callgraph.t -> is_root:bool array -> int -> bool array
 (** [nr_closure g ~is_root r] is the least vertex set containing [r] that is
@@ -72,71 +70,49 @@ val root_set_feasible :
 
 val solve_exact :
   Quilt_dag.Callgraph.t -> Types.limits -> roots:int list -> Types.solution option
-(** Optimal subgraph construction for the given roots, or [None] when
-    infeasible.  The root list must contain the graph root; duplicates are
-    ignored.  Raises [Invalid_argument] when the instance breaches either
-    cap: more than {!exact_max_roots} roots (after normalization, i.e.
-    including forced roots), or more than {!exact_max_root_edges}
-    root-targeted edges — use {!solve_greedy} there.  This is the purely
-    sequential search; [QUILT_SEQUENTIAL=1] forces every caller onto it. *)
-
-val atomic_min : int Atomic.t -> int -> unit
-(** CAS-loop minimum: publish a solution cost into an incumbent bound.
-    Used by the portfolio layer to let heuristic arms warm the exact
-    search. *)
+(** Test oracle, no production caller: optimal subgraph construction for
+    the given roots by a plain depth-first branch-and-bound over the full
+    2^(k-1) absorb-mask enumeration, or [None] when infeasible.  The root
+    list must contain the graph root; duplicates are ignored.  Raises
+    [Invalid_argument] when the instance breaches either cap: more than
+    {!exact_max_roots} roots (after normalization, i.e. including forced
+    roots), or more than {!exact_max_root_edges} root-targeted edges — use
+    {!solve_greedy} there.  {!solve_exact_par} must return the identical
+    solution. *)
 
 val solve_exact_par :
   ?domains:int ->
   ?incumbent:int Atomic.t ->
-  ?deadline:float ->
-  ?warm:bool ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   roots:int list ->
   Types.solution option
-(** Shared-incumbent branch-and-bound over the same search space as
-    {!solve_exact}: root 0's choices become independent prefix subtrees
-    fanned out over up to [domains] domains
-    (default {!Quilt_util.Pool.default_domains}); workers read an [Atomic]
-    incumbent for pruning and CAS-update it on improvement.  Tie-breaking is
-    deterministic — the lexicographically first optimal assignment in
-    sorted-choice order wins, exactly as in {!solve_exact}, never the first
-    finisher — so with the default fresh incumbent the result is
-    bit-identical to {!solve_exact} (qcheck-pinned in the test suite).
+(** The exact search production code runs: a shared-incumbent
+    branch-and-bound over the same search space as {!solve_exact}.  Root
+    0's choices become independent prefix subtrees, fanned out over up to
+    [domains] domains (default {!Quilt_util.Pool.default_domains}); workers
+    read an [Atomic] incumbent for pruning and CAS-update it on
+    improvement.  Tie-breaking is deterministic — the lexicographically
+    first optimal assignment in sorted-choice order wins, exactly as in
+    {!solve_exact}, never the first finisher — so with the default fresh
+    incumbent the result is bit-identical to {!solve_exact} at every
+    [domains] value (qcheck-pinned in the test suite).
 
-    This entry point also prepares its per-root choice lists with a pruned
-    lattice walk instead of {!solve_exact}'s full 2^(k-1) absorb-mask
-    enumeration: subtrees whose absorb set already breaches the resource
-    limits are cut (demand is monotone in the member set), resource totals
-    are maintained incrementally along the walk, and roots that no peer
-    closure can ever call are excluded up front via a least fixed point of
-    the "has a caller among connectable closures" relation.  The walk
-    visits the surviving masks in the same ascending order as the
-    enumeration and emits the identical choice list, so the search —
-    and hence the returned solution — is unchanged; on resource-tight
-    instances preparation is the dominant cost and this is where the
-    parallel path's speedup comes from even on a single core.
+    The per-root choice lists come from a pruned lattice walk instead of
+    {!solve_exact}'s full enumeration: subtrees whose absorb set already
+    breaches the resource limits are cut (demand is monotone in the member
+    set), resource totals are maintained incrementally along the walk, and
+    roots that no peer closure can ever call are excluded up front via a
+    least fixed point of the "has a caller among connectable closures"
+    relation.  The walk visits the surviving masks in the same ascending
+    order as the enumeration and emits the identical choice list.
 
-    [warm] (default [true]) seeds the incumbent with the {!solve_greedy}
-    cost for the same roots before searching (heuristic-warmed pruning);
-    since the greedy solution lives inside the exact search space, its cost
-    bounds the optimum from above and cannot perturb the result.
-
-    When [incumbent] is supplied, costs found by other solver arms prune
-    this search too; solutions costing {e more} than the incumbent's value
-    may then be reported as [None].  [deadline] (an absolute [Sys.time]
-    value) makes workers stop expanding once the clock passes it and
-    report their best-so-far — an explicitly {e non-deterministic} budget
-    mode used only by the opt-in portfolio time budget.  Raises
+    A supplied [incumbent] is shared with other searches (the root-set
+    sweeps pass one bound to every root set they try): costs found there
+    prune this search too, and a root set whose optimum costs {e more} than
+    the incumbent's value is then reported as [None].  Raises
     [Invalid_argument] on the same
-    {!exact_max_roots}/{!exact_max_root_edges} caps as {!solve_exact}.
-    Under [QUILT_SEQUENTIAL=1] this is exactly {!solve_exact} (incumbent,
-    deadline and warm start ignored). *)
-
-val bounded_search_count : unit -> int
-(** Number of incumbent-driven (parallel-capable) exact searches run by this
-    process.  Under [QUILT_SEQUENTIAL=1] the counter must not advance; the
-    test suite enforces this. *)
+    {!exact_max_roots}/{!exact_max_root_edges} caps as {!solve_exact}. *)
 
 val solve_greedy :
   Quilt_dag.Callgraph.t -> Types.limits -> roots:int list -> Types.solution option
@@ -154,9 +130,8 @@ val solve :
   Types.limits ->
   roots:int list ->
   Types.solution option
-(** {!solve_exact} when the instance is within {!exact_max_roots} and
-    {!exact_max_root_edges}, otherwise {!solve_greedy}.  With [domains > 1]
-    (and a large enough instance) or an [incumbent], in-cap instances go
-    through {!solve_exact_par} instead — same result, see there.  [domains]
-    defaults to [1]: inner sweep layers stay sequential unless a caller
-    opts in. *)
+(** {!solve_exact_par} when the instance is within {!exact_max_roots} and
+    {!exact_max_root_edges}, otherwise {!solve_greedy} (which ignores
+    [incumbent]).  [domains] defaults to [1]: inner searches stay on the
+    calling domain unless a caller opts in, and instances with fewer than
+    eight roots never fan out. *)

@@ -20,7 +20,7 @@ let validated g lim sol =
       | Error msg -> failwith (Printf.sprintf "Decision.solve: invalid solution produced: %s" msg))
 
 let solve ?(seed = 1) ?(domains = 1) algorithm (g : Callgraph.t) (lim : Types.limits) =
-  let domains = if Pool.sequential_forced () then 1 else max 1 domains in
+  let domains = max 1 domains in
   let sol =
     match algorithm with
     | Optimal -> Optimal.solve ~domains g lim
@@ -34,78 +34,11 @@ let auto_algorithm (g : Callgraph.t) =
   let n = Callgraph.n_nodes g in
   if n <= 12 then Optimal else if n <= 60 then Dih else Grasp
 
-(* Portfolio racing (tentpole layer 2).
+let auto ?(seed = 1) ?domains (g : Callgraph.t) (lim : Types.limits) =
+  let domains = match domains with Some d -> d | None -> Pool.default_domains () in
+  solve ~seed ~domains (auto_algorithm g) g lim
 
-   The exact regime (n <= 12) races three arms: DIH and GRASP run on their
-   own domains as {e advisory} arms whose solution costs are CAS-published
-   into a shared incumbent the moment they finish, while the exact sweep
-   runs in the calling domain with the remaining parallelism.  Every
-   heuristic solution is a feasible point of the same global problem, so
-   its cost upper-bounds the optimum and can only prune the exact search,
-   never change its answer: the result returned is the exact arm's, equal
-   to the sequential [auto] on every seed.
-
-   In the heuristic regimes the primary's own sweep is what parallelizes
-   (racing arms whose output must be discarded for determinism would burn a
-   domain for nothing): DIH fans its per-k root subsets out with a shared
-   incumbent; GRASP fans each pruning round's candidates.  External
-   incumbents are deliberately {e not} threaded into the sweeps — a foreign
-   bound would perturb the per-k improvement flags and hence the
-   patience-based stopping point, breaking output parity.
-
-   [budget_s] opts into the non-deterministic time budget: if the exact arm
-   exceeds it, the best solution known across all arms is returned. *)
-let auto_portfolio ~seed ~domains ?budget_s (g : Callgraph.t) (lim : Types.limits) =
-  let incumbent = Atomic.make max_int in
-  let arm_results = Array.make 2 None in
-  let arm i f =
-    Domain.spawn (fun () ->
-        match f () with
-        | Some (s : Types.solution) ->
-            Closure.atomic_min incumbent s.Types.cost;
-            arm_results.(i) <- Some s
-        | None -> ()
-        | exception _ -> ())
-  in
-  let arms =
-    [
-      arm 0 (fun () -> Dih.solve g lim);
-      arm 1 (fun () -> Grasp.solve (Rng.create seed) g lim);
-    ]
-  in
-  let deadline = Option.map (fun b -> Sys.time () +. b) budget_s in
-  let exact = Optimal.solve ~domains:(max 1 (domains - 2)) ~incumbent ?deadline g lim in
-  List.iter Domain.join arms;
-  match budget_s with
-  | None -> exact
-  | Some _ ->
-      (* Budget mode: the exact arm may have been cut short; fall back to
-         the cheapest arm seen. *)
-      let best =
-        Array.fold_left
-          (fun acc r ->
-            match (acc, r) with
-            | None, r -> r
-            | Some (a : Types.solution), Some (b : Types.solution) ->
-                if b.Types.cost < a.Types.cost then Some b else Some a
-            | Some a, None -> Some a)
-          exact arm_results
-      in
-      best
-
-let auto ?(seed = 1) ?domains ?budget_s (g : Callgraph.t) (lim : Types.limits) =
-  let domains =
-    let requested = match domains with Some d -> d | None -> Pool.default_domains () in
-    if Pool.sequential_forced () then 1 else max 1 requested
-  in
-  let algorithm = auto_algorithm g in
-  if domains <= 1 then solve ~seed algorithm g lim
-  else
-    match algorithm with
-    | Optimal -> validated g lim (auto_portfolio ~seed ~domains ?budget_s g lim)
-    | _ -> solve ~seed ~domains algorithm g lim
-
-(* --- Warm-start incremental re-decision (tentpole layer 3) --- *)
+(* --- Warm-start incremental re-decision --- *)
 
 (* Re-decide only the previous solution's groups that intersect the drift
    report's touched set; splice every untouched group through unchanged.

@@ -1,12 +1,11 @@
 (** Front door for the merge-decision phase (§4): pick an algorithm, get a
     validated grouping.
 
-    This is also where the parallel decision subsystem is assembled: a
-    portfolio of solver arms racing over the Domain pool ({!auto}), and the
-    warm-start incremental re-decision path the control plane uses on drift
-    ticks ({!resolve_incremental}).  Every parallel path returns
-    bit-identical solutions to its sequential counterpart (qcheck-pinned),
-    and [QUILT_SEQUENTIAL=1] forces the sequential code end-to-end. *)
+    One algorithm per call-graph size ({!auto}), as the paper does, plus
+    the warm-start incremental re-decision path the control plane uses on
+    drift ticks ({!resolve_incremental}).  [domains] only spreads the chosen
+    algorithm's own sweep over the Domain pool: every solver returns the
+    same solution at every [domains] value (qcheck-pinned). *)
 
 type algorithm =
   | Optimal  (** Exhaustive k-sweep (§4.2); small graphs only. *)
@@ -39,24 +38,15 @@ val solve :
 val auto :
   ?seed:int ->
   ?domains:int ->
-  ?budget_s:float ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   Types.solution option
-(** What the Quilt optimizer itself uses: {!auto_algorithm}'s pick, run on
-    up to [domains] domains (default {!Quilt_util.Pool.default_domains}).
-
-    With [domains > 1], the exact regime races a portfolio: DIH and GRASP
-    arms run on their own domains and seed the exact sweep's incumbent with
-    their solution costs the moment they finish (heuristic-warmed pruning);
-    the exact arm's result is returned.  Heuristic regimes parallelize the
-    primary's own sweep instead.  In every regime the output equals the
-    sequential [auto] for equal seeds (qcheck-pinned); [QUILT_SEQUENTIAL=1]
-    forces the sequential path.
-
-    [budget_s] (opt-in, default off) arms a wall-clock budget: if the exact
-    arm exceeds it, the best solution known across all arms is returned —
-    explicitly trading the determinism guarantee for bounded latency. *)
+(** What the Quilt optimizer itself uses: [solve ~seed ~domains
+    (auto_algorithm g) g lim], with [domains] defaulting to
+    {!Quilt_util.Pool.default_domains}.  In the ≤ 12-vertex regime this is
+    the exact sweep ({!Optimal.solve}), whose answer is the optimum the
+    test suite computes with an unbounded reference sweep, for every
+    [domains] value. *)
 
 val resolve_incremental :
   ?seed:int ->

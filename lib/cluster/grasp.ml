@@ -14,7 +14,6 @@ let draw_pool rng ~rcl ~count =
 
 let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) ?(domains = 1) rng (g : Callgraph.t)
     (lim : Types.limits) =
-  let domains = if Quilt_util.Pool.sequential_forced () then 1 else domains in
   let n = Callgraph.n_nodes g in
   let s = Dih.scores ?weights g lim in
   let candidates = List.filter (fun j -> j <> g.Callgraph.root) (List.init n (fun i -> i)) in

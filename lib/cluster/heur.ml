@@ -73,13 +73,12 @@ let solve_by_score ~scores:s ?pool_size ?k_max ?(domains = 1) ?(fallback = true)
   (* One root set per k, so the k values themselves are the parallel axis;
      the ordered fold below reproduces the sequential strict-improvement
      evolution exactly. *)
-  let domains = if Quilt_util.Pool.sequential_forced () then 1 else domains in
   let eval k =
     let roots = g.Callgraph.root :: List.filteri (fun i _ -> i < k - 1) ranked in
     if Closure.root_set_feasible g lim ~roots then Closure.solve g lim ~roots else None
   in
   let ks = List.init (min k_max n) (fun i -> i + 1) in
-  let results = if domains > 1 then Quilt_util.Pool.map ~domains eval ks else List.map eval ks in
+  let results = Quilt_util.Pool.map ~domains eval ks in
   let best = ref None in
   List.iter
     (fun sol ->
@@ -98,7 +97,7 @@ let solve_by_score ~scores:s ?pool_size ?k_max ?(domains = 1) ?(fallback = true)
       if Closure.root_set_feasible g lim ~roots:all then Closure.solve_greedy g lim ~roots:all
       else None
 
-let solve_weighted_degree ?pool_size ?k_max ?patience:_ ?domains ?fallback (g : Callgraph.t)
+let solve_weighted_degree ?pool_size ?k_max ?domains ?fallback (g : Callgraph.t)
     (lim : Types.limits) =
   solve_by_score ~scores:(weighted_in_degree_scores g) ?pool_size ?k_max ?domains ?fallback g lim
 

@@ -13,7 +13,6 @@ val betweenness_scores : Quilt_dag.Callgraph.t -> float array
 val solve_weighted_degree :
   ?pool_size:int ->
   ?k_max:int ->
-  ?patience:int ->
   ?domains:int ->
   ?fallback:bool ->
   Quilt_dag.Callgraph.t ->

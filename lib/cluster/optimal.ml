@@ -1,48 +1,22 @@
 module Callgraph = Quilt_dag.Callgraph
 module Pool = Quilt_util.Pool
 
-(* Sequential root-set sweep: today's reference path, forced by
-   QUILT_SEQUENTIAL=1. *)
-let solve_seq ?max_k (g : Callgraph.t) (lim : Types.limits) =
-  let n = Callgraph.n_nodes g in
-  let max_k = match max_k with Some k -> min k n | None -> n in
-  let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
-  let best = ref None in
-  let cost_zero () = match !best with Some b -> b.Types.cost = 0 | None -> false in
-  (try
-     for k = 1 to max_k do
-       let subsets = Sweep.combinations non_roots (k - 1) in
-       List.iter
-         (fun extra ->
-           let roots = g.Callgraph.root :: extra in
-           if Closure.root_set_feasible g lim ~roots then begin
-             match Closure.solve_exact g lim ~roots with
-             | None -> ()
-             | Some sol -> (
-                 match !best with
-                 | Some b when sol.Types.cost >= b.Types.cost -> ()
-                 | _ -> best := Some sol)
-           end;
-           (* A zero-cost grouping cannot be improved. *)
-           if cost_zero () then raise Exit)
-         subsets
-     done
-   with Exit -> ());
-  !best
-
-(* Parallel variant: subsets are evaluated in chunks fanned over the Domain
-   pool, every per-subset exact search shares one incumbent (costs found on
-   any root set prune all the others), and the chunk results are folded
-   sequentially in enumeration order with the same strict-improvement rule
-   the sequential sweep uses.  The incumbent never drops below the global
+(* Root-set sweep: subsets are evaluated in chunks fanned over the Domain
+   pool (in the calling domain when [domains = 1]), every per-subset exact
+   search shares one incumbent (costs found on any root set prune all the
+   others), and the chunk results are folded in enumeration order with a
+   strict-improvement rule.  The incumbent never drops below the global
    optimum C*, each pruned-to-[None] subset is one whose own optimum could
    not have improved the final best, and the first subset achieving C* in
    enumeration order always survives the inclusive bound — so the returned
-   solution is identical to {!solve_seq}'s. *)
-let solve_par ?max_k ?deadline ~domains ~incumbent (g : Callgraph.t) (lim : Types.limits) =
+   solution is the first optimum in enumeration order, the same one an
+   unbounded sweep over {!Closure.solve_exact} finds. *)
+let solve ?max_k ?(domains = 1) (g : Callgraph.t) (lim : Types.limits) =
+  let domains = max 1 domains in
   let n = Callgraph.n_nodes g in
   let max_k = match max_k with Some k -> min k n | None -> n in
   let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
+  let incumbent = Atomic.make max_int in
   let best = ref None in
   let cost_zero () = match !best with Some b -> b.Types.cost = 0 | None -> false in
   let chunk_size = max 8 (32 * domains) in
@@ -65,7 +39,7 @@ let solve_par ?max_k ?deadline ~domains ~incumbent (g : Callgraph.t) (lim : Type
                (fun extra ->
                  let roots = g.Callgraph.root :: extra in
                  if Closure.root_set_feasible g lim ~roots then
-                   Closure.solve_exact_par ~domains:1 ~incumbent ?deadline ~warm:false g lim ~roots
+                   Closure.solve_exact_par ~domains:1 ~incumbent g lim ~roots
                  else None)
                chunk
            in
@@ -78,15 +52,9 @@ let solve_par ?max_k ?deadline ~domains ~incumbent (g : Callgraph.t) (lim : Type
                    | Some b when sol.Types.cost >= b.Types.cost -> ()
                    | _ -> best := Some sol))
              results;
+           (* A zero-cost grouping cannot be improved. *)
            if cost_zero () then raise Exit)
          (chunks (Sweep.combinations non_roots (k - 1)))
      done
    with Exit -> ());
   !best
-
-let solve ?max_k ?(domains = 1) ?incumbent ?deadline (g : Callgraph.t) (lim : Types.limits) =
-  let domains = if Pool.sequential_forced () then 1 else domains in
-  if domains <= 1 && incumbent = None then solve_seq ?max_k g lim
-  else
-    let incumbent = match incumbent with Some a -> a | None -> Atomic.make max_int in
-    solve_par ?max_k ?deadline ~domains:(max 1 domains) ~incumbent g lim

@@ -2,16 +2,15 @@
 
     Sweeps every number of subgraphs k from 1 to |V| and, for each k, every
     candidate root set (the graph root plus any k−1 other vertices); Phase 2
-    ({!Closure.solve_exact}) finds the optimal assignment for each set.  The
-    best assignment over all k is optimal for the full problem (Appendix A
-    shows why all k must be tried).  Exponential in |V|: practical for
-    workflows of ≤ ~15 functions, which covers the benchmark applications. *)
+    ({!Closure.solve_exact_par}) finds the optimal assignment for each set.
+    The best assignment over all k is optimal for the full problem
+    (Appendix A shows why all k must be tried).  Exponential in |V|:
+    practical for workflows of ≤ ~15 functions, which covers the benchmark
+    applications. *)
 
 val solve :
   ?max_k:int ->
   ?domains:int ->
-  ?incumbent:int Atomic.t ->
-  ?deadline:float ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   Types.solution option
@@ -19,11 +18,10 @@ val solve :
     decision-time benchmarks.  Returns [None] when no feasible grouping
     exists even with every vertex its own root.
 
-    With [domains > 1], candidate root sets are evaluated in parallel
-    chunks whose exact searches share one incumbent bound (any arm's best
-    cost prunes all others); results are folded in enumeration order with
-    the sequential sweep's strict-improvement rule, so the returned
-    solution is bit-identical to the sequential one.  [incumbent] lets the
-    portfolio layer seed that bound from a heuristic arm; a solution is
-    then only reported if its cost is at or below the bound ever seen.
-    [QUILT_SEQUENTIAL=1] forces the plain sequential sweep. *)
+    Candidate root sets are evaluated in chunks — in parallel on up to
+    [domains] domains (default 1) — whose exact searches share one
+    incumbent bound, so a cost found on any root set prunes all the others.
+    Results are folded in enumeration order with a strict-improvement rule,
+    so the returned solution is the first optimum in enumeration order at
+    every [domains] value (the test suite pins it against an unbounded
+    sweep over {!Closure.solve_exact}). *)

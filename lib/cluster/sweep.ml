@@ -13,15 +13,14 @@ let solve_over_pool ?k_max ?(patience = 2) ?(domains = 1) (g : Quilt_dag.Callgra
   let k_max =
     match k_max with Some k -> k | None -> List.length pool + 1
   in
-  let domains = if Quilt_util.Pool.sequential_forced () then 1 else domains in
-  (* With domains > 1 the per-k subsets are evaluated in parallel and their
-     in-cap exact searches share one incumbent bound.  The results are then
-     folded sequentially in enumeration order with the same
-     strict-improvement rule as below, so the best solution, the per-k
-     improvement flag, and hence the patience-based stopping point are all
-     identical to the sequential sweep's (greedy-dispatched subsets ignore
-     the incumbent entirely). *)
-  let incumbent = if domains > 1 then Some (Atomic.make max_int) else None in
+  (* Each k's subsets are evaluated on up to [domains] domains and their
+     in-cap exact searches share one incumbent bound.  The results are
+     folded in enumeration order with a strict-improvement rule, so the
+     best solution, the per-k improvement flag, and hence the
+     patience-based stopping point do not depend on [domains]: a subset
+     the bound prunes to [None] could not have improved the best
+     (greedy-dispatched subsets ignore the bound entirely). *)
+  let incumbent = Atomic.make max_int in
   let best = ref None in
   let stale = ref 0 in
   let k = ref 1 in
@@ -31,13 +30,10 @@ let solve_over_pool ?k_max ?(patience = 2) ?(domains = 1) (g : Quilt_dag.Callgra
     let subsets = combinations pool (!k - 1) in
     let eval extra =
       let roots = g.Quilt_dag.Callgraph.root :: extra in
-      if Closure.root_set_feasible g lim ~roots then Closure.solve ?incumbent g lim ~roots
+      if Closure.root_set_feasible g lim ~roots then Closure.solve ~incumbent g lim ~roots
       else None
     in
-    let results =
-      if domains > 1 && List.length subsets > 1 then Quilt_util.Pool.map ~domains eval subsets
-      else List.map eval subsets
-    in
+    let results = Quilt_util.Pool.map ~domains eval subsets in
     List.iter
       (fun sol ->
         match sol with

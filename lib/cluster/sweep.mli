@@ -22,8 +22,7 @@ val solve_over_pool :
     consecutive values of k without improvement, or at [k_max] (default
     [List.length pool + 1]).  Returns the best solution found.
 
-    [domains] (default 1) fans each k's subsets out over the Domain pool
-    with a shared incumbent bound; results are folded back in enumeration
-    order, so the returned solution — and the patience-based stopping point
-    — are bit-identical to the sequential sweep.  [QUILT_SEQUENTIAL=1]
-    forces the sequential path. *)
+    Every subset's exact search shares one incumbent bound.  [domains]
+    (default 1) fans each k's subsets out over the Domain pool; results are
+    folded back in enumeration order, so the returned solution — and the
+    patience-based stopping point — do not depend on [domains]. *)

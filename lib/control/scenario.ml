@@ -190,14 +190,21 @@ let groups_of (plan : Quilt.t) =
     (fun (d : Deploy.merged_deployment) -> List.sort compare d.Deploy.members)
     plan.Quilt.deployments
 
-let run ?(smoke = false) ?(seed = 0) ?obs_sample ?(incremental_redecide = false) ~with_controller
-    name =
+let run ?(smoke = false) ?(seed = 0) ?obs_sample ?(incremental_redecide = false)
+    ?(domains = Config.default.Config.domains) ~with_controller name =
   match spec_of ~smoke name with
   | Error e -> Error e
   | Ok sp -> (
       let sp =
         if not incremental_redecide then sp
         else { sp with sp_ctl_cfg = { sp.sp_ctl_cfg with Controller.incremental_redecide = true } }
+      in
+      let sp =
+        {
+          sp with
+          sp_offline_cfg = { sp.sp_offline_cfg with Config.domains };
+          sp_ctl_quilt_cfg = { sp.sp_ctl_quilt_cfg with Config.domains };
+        }
       in
       let wf = sp.sp_workflow in
       let wf_profiled = { wf with Workflow.gen_req = sp.sp_profile_gen } in

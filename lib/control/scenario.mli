@@ -43,6 +43,7 @@ val run :
   ?seed:int ->
   ?obs_sample:int ->
   ?incremental_redecide:bool ->
+  ?domains:int ->
   with_controller:bool ->
   string ->
   (outcome, string) result
@@ -51,7 +52,9 @@ val run :
     engine and workload RNG streams for reproducible-but-different runs.
     [incremental_redecide] (default false) opts the controller into the
     warm-start incremental re-decision path on drift ticks
-    ({!Controller.config.incremental_redecide}).
+    ({!Controller.config.incremental_redecide}).  [domains] sets
+    {!Quilt_core.Config.t.domains} in both the offline and the controller's
+    optimizer configuration (default {!Quilt_core.Config.default}'s).
     [obs_sample] switches the run to observability mode: a span recorder
     with that head-sampling period is attached, the controller (if any)
     re-decides from the live profiler's reconstructed windows, and the

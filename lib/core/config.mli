@@ -32,10 +32,9 @@ type t = {
           for smaller fault domains. *)
   domains : int;
       (** Domains the merge decision may fan out over (default
-          {!Quilt_util.Pool.default_domains}, i.e. the machine; overridable
-          per-process with [QUILT_POOL_DOMAINS]).  Parallel decision paths
-          are output-identical to sequential ones, so this only changes
-          decision latency; [QUILT_SEQUENTIAL=1] forces 1 everywhere. *)
+          {!Quilt_util.Pool.default_domains}, i.e. the machine; the CLI's
+          [--domains] sets it).  Every solver returns the same decision at
+          every value, so this only changes decision latency. *)
 }
 
 val default : t

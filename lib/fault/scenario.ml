@@ -144,17 +144,19 @@ type outcome = {
 (* Same decision shape as the adaptive scenarios: a 6.5 ms/vCPU budget fits
    entry + one chain in a container but not entry + both, so quilt merges
    the profiled-hot chain with the entry. *)
-let quilt_cfg ~smoke ~seed =
+let quilt_cfg ~smoke ~seed ~domains =
   {
     Config.default with
-    Config.cpu_budget_ms = 6.5;
+    Config.domains;
+    cpu_budget_ms = 6.5;
     profile_duration_us = (if smoke then 8_000_000.0 else 20_000_000.0);
     seed = 1 + seed;
   }
 
 let gen_req = Special.routed_req ~b_share:0.3
 
-let run_one ?(smoke = false) ?(seed = 0) ~scenario ~arm ~policy ~policy_name () =
+let run_one ?(smoke = false) ?(seed = 0) ?(domains = Config.default.Config.domains) ~scenario ~arm
+    ~policy ~policy_name () =
   match find_scenario scenario with
   | None ->
       Error
@@ -162,7 +164,7 @@ let run_one ?(smoke = false) ?(seed = 0) ~scenario ~arm ~policy ~policy_name () 
            (String.concat ", " scenario_names))
   | Some sc -> (
       let wf = Special.routed () in
-      let cfg = quilt_cfg ~smoke ~seed in
+      let cfg = quilt_cfg ~smoke ~seed ~domains in
       let engine = Quilt.fresh_platform ~seed:(42 + seed) ~config:cfg ~workflows:[ wf ] () in
       let setup =
         match arm with
@@ -203,7 +205,7 @@ let run_one ?(smoke = false) ?(seed = 0) ~scenario ~arm ~policy ~policy_name () 
               f_trace = Plan.trace armed;
             })
 
-let run_matrix ?(smoke = false) ?(seed = 0) ?(scenario_filter = None)
+let run_matrix ?(smoke = false) ?(seed = 0) ?domains ?(scenario_filter = None)
     ?(policy = Policy.default_retry) ?(policy_name = "retry") () =
   let chosen =
     match scenario_filter with
@@ -221,7 +223,7 @@ let run_matrix ?(smoke = false) ?(seed = 0) ?(scenario_filter = None)
         List.iter
           (fun arm ->
             if !err = None then
-              match run_one ~smoke ~seed ~scenario:sc.sc_name ~arm ~policy ~policy_name () with
+              match run_one ~smoke ~seed ?domains ~scenario:sc.sc_name ~arm ~policy ~policy_name () with
               | Ok o -> acc := o :: !acc
               | Error e -> err := Some e)
           arms)

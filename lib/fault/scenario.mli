@@ -28,6 +28,7 @@ type outcome = {
 val run_one :
   ?smoke:bool ->
   ?seed:int ->
+  ?domains:int ->
   scenario:string ->
   arm:arm ->
   policy:Policy.t ->
@@ -37,12 +38,14 @@ val run_one :
 (** One (scenario, arm, policy) cell.  [smoke] shrinks the run to ~12
     virtual seconds; [seed] perturbs every stream (engine, workload, fault
     plan, gateway jitter) so the whole cell is reproducible from one
-    number.  [Error] on unknown scenario names or when the quilt arm's
+    number; [domains] sets the quilt arm's decision domains (default
+    {!Quilt_core.Config.default}'s).  [Error] on unknown scenario names or when the quilt arm's
     offline optimization fails. *)
 
 val run_matrix :
   ?smoke:bool ->
   ?seed:int ->
+  ?domains:int ->
   ?scenario_filter:string option ->
   ?policy:Policy.t ->
   ?policy_name:string ->

@@ -253,19 +253,3 @@ let run_local_prog ?(fuel = 20_000_000) ~host prog ~fname ~req =
 
 let run_handler ?fuel ~host m ~fname ~req = run_handler_prog ?fuel ~host (compile m) ~fname ~req
 let run_local ?fuel ~host m ~fname ~req = run_local_prog ?fuel ~host (compile m) ~fname ~req
-
-(* --- Default-engine dispatch --- *)
-
-let treewalk_requested () = Sys.getenv_opt "QUILT_TREEWALK" <> None
-let engine () = if treewalk_requested () then `Treewalk else `Compiled
-let engine_name () = match engine () with `Treewalk -> "treewalk" | `Compiled -> "compiled"
-
-let run_handler_auto ?fuel ~host m ~fname ~req =
-  match engine () with
-  | `Treewalk -> Interp.run_handler ?fuel ~host m ~fname ~req
-  | `Compiled -> run_handler ?fuel ~host m ~fname ~req
-
-let run_local_auto ?fuel ~host m ~fname ~req =
-  match engine () with
-  | `Treewalk -> Interp.run_local ?fuel ~host m ~fname ~req
-  | `Compiled -> run_local ?fuel ~host m ~fname ~req

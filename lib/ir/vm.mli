@@ -43,28 +43,3 @@ val run_local_prog :
   fname:string ->
   req:string ->
   (string * Interp.stats, string) result
-
-(** {2 Default-engine dispatch}
-
-    The compiled engine is the default everywhere (CLI, pipeline
-    validation); setting the [QUILT_TREEWALK] environment variable (any
-    value) switches back to the tree-walker as an escape hatch. *)
-
-val engine : unit -> [ `Compiled | `Treewalk ]
-val engine_name : unit -> string
-
-val run_handler_auto :
-  ?fuel:int ->
-  host:Interp.host ->
-  Ir.modul ->
-  fname:string ->
-  req:string ->
-  (string * Interp.stats, string) result
-
-val run_local_auto :
-  ?fuel:int ->
-  host:Interp.host ->
-  Ir.modul ->
-  fname:string ->
-  req:string ->
-  (string * Interp.stats, string) result

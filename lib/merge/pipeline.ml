@@ -246,4 +246,4 @@ let merge_group ~lookup ~members ~root ?(edge_mode = fun ~caller:_ ~callee:_ -> 
   end
 
 let validate ?fuel ~host report ~req =
-  Vm.run_handler_auto ?fuel ~host report.merged_module ~fname:report.entry ~req
+  Vm.run_handler ?fuel ~host report.merged_module ~fname:report.entry ~req

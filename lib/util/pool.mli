@@ -6,23 +6,14 @@
     in input order, so callers that fix per-item RNG seeds get output that is
     bit-identical to a sequential run.
 
-    Parallelism is disabled (everything runs in the calling domain, still in
-    order) when any of the following holds:
-    - [QUILT_SEQUENTIAL=1] is set in the environment (the escape hatch for
-      debugging or for machines where timing noise matters);
-    - [~domains:1] is passed;
-    - the input has fewer than two elements.
+    Everything runs in the calling domain, still in order, when
+    [~domains:1] is passed or the input has fewer than two elements.
 
     Work items must not share mutable state with each other: each item is
     evaluated exactly once, in exactly one domain. *)
 
-val sequential_forced : unit -> bool
-(** True when [QUILT_SEQUENTIAL=1] (or [QUILT_POOL_DOMAINS=1]) is set. *)
-
 val default_domains : unit -> int
-(** [QUILT_POOL_DOMAINS] if set and >= 1, otherwise
-    [Domain.recommended_domain_count ()]; 1 when sequential mode is
-    forced. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f items] is [List.map f items], computed on up to [domains]

@@ -631,51 +631,127 @@ let same_solution a b =
   | Some a, Some b -> solution_sig a = solution_sig b
   | Some _, None | None, Some _ -> false
 
+let random_instance seed ~lo ~hi =
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng lo hi in
+  let g, lims = Gen.random_rdag rng ~n () in
+  (rng, n, g, { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb })
+
 let prop_exact_par_matches_exact =
-  QCheck.Test.make ~name:"solve_exact_par = solve_exact (1/2/4 domains, warm on/off)" ~count:30
+  QCheck.Test.make ~name:"solve_exact_par = solve_exact (1/2/4 domains)" ~count:30
     (QCheck.int_range 1 100_000)
     (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int_in rng 4 12 in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
+      let rng, n, g, lim = random_instance seed ~lo:4 ~hi:12 in
       let extras =
         List.filter (fun v -> v <> g.Callgraph.root && Rng.chance rng 0.5) (List.init n (fun i -> i))
       in
       let roots = g.Callgraph.root :: extras in
       let seq = Closure.solve_exact g lim ~roots in
       List.for_all
-        (fun domains ->
-          List.for_all
-            (fun warm ->
-              same_solution (Closure.solve_exact_par ~domains ~warm g lim ~roots) seq)
-            [ true; false ])
+        (fun domains -> same_solution (Closure.solve_exact_par ~domains g lim ~roots) seq)
         [ 1; 2; 4 ])
 
-let prop_portfolio_auto_matches_sequential =
-  QCheck.Test.make ~name:"portfolio auto = sequential auto (2 and 4 domains)" ~count:15
+(* [Closure.solve]'s dispatch: in-cap root sets get the exact optimum (the
+   unpruned oracle's answer, at any width), the rest the greedy solution. *)
+let prop_closure_solve_dispatch =
+  QCheck.Test.make ~name:"Closure.solve = solve_exact in cap, greedy beyond" ~count:30
     (QCheck.int_range 1 100_000)
     (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int_in rng 5 13 in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let seq = Decision.auto ~domains:1 g lim in
-      List.for_all (fun d -> same_solution (Decision.auto ~domains:d g lim) seq) [ 2; 4 ])
+      let rng, n, g, lim = random_instance seed ~lo:4 ~hi:24 in
+      let extras =
+        List.filter (fun v -> v <> g.Callgraph.root && Rng.chance rng 0.5) (List.init n (fun i -> i))
+      in
+      let roots = g.Callgraph.root :: extras in
+      let expected =
+        match Closure.solve_exact g lim ~roots with
+        | sol -> sol
+        | exception Invalid_argument _ -> Closure.solve_greedy g lim ~roots
+      in
+      List.for_all (fun domains -> same_solution (Closure.solve ~domains g lim ~roots) expected) [ 1; 4 ])
 
-let test_portfolio_all_regimes () =
-  (* One instance per auto_algorithm regime: exact portfolio (n <= 12),
-     DIH sweep (n <= 60), GRASP (beyond). *)
+(* The exhaustive k-sweep of §4.2 in its plainest form: every root set in
+   enumeration order, each solved by the unpruned [Closure.solve_exact], the
+   first strictly cheaper solution kept, stopping at a zero-cost grouping. *)
+let reference_optimal (g : Callgraph.t) lim =
+  let n = Callgraph.n_nodes g in
+  let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
+  let best = ref None in
+  (try
+     for k = 1 to n do
+       List.iter
+         (fun extra ->
+           let roots = g.Callgraph.root :: extra in
+           (if Closure.root_set_feasible g lim ~roots then
+              match (Closure.solve_exact g lim ~roots, !best) with
+              | None, _ -> ()
+              | Some sol, Some b when sol.Types.cost >= b.Types.cost -> ()
+              | Some sol, _ -> best := Some sol);
+           match !best with Some b when b.Types.cost = 0 -> raise Exit | _ -> ())
+         (Sweep.combinations non_roots (k - 1))
+     done
+   with Exit -> ());
+  !best
+
+let prop_auto_matches_reference_optimal =
+  QCheck.Test.make ~name:"auto = reference_optimal (1/2/4 domains)" ~count:15
+    (QCheck.int_range 1 100_000)
+    (fun seed ->
+      let _, _, g, lim = random_instance seed ~lo:4 ~hi:12 in
+      let expected = reference_optimal g lim in
+      List.for_all (fun d -> same_solution (Decision.auto ~domains:d g lim) expected) [ 1; 2; 4 ])
+
+(* [Sweep.solve_over_pool] without the shared bound: each root set solved
+   on its own ([Closure.solve_exact] in cap, greedy beyond), the same
+   strict-improvement fold and the same patience rule. *)
+let reference_sweep ?(patience = 2) (g : Callgraph.t) lim ~pool =
+  let solve roots =
+    match Closure.solve_exact g lim ~roots with
+    | sol -> sol
+    | exception Invalid_argument _ -> Closure.solve_greedy g lim ~roots
+  in
+  let best = ref None and stale = ref 0 and k = ref 1 in
+  while !k <= List.length pool + 1 && not (!best <> None && !stale >= patience) do
+    let improved = ref false in
+    List.iter
+      (fun extra ->
+        let roots = g.Callgraph.root :: extra in
+        if Closure.root_set_feasible g lim ~roots then
+          match (solve roots, !best) with
+          | None, _ -> ()
+          | Some sol, Some b when sol.Types.cost >= b.Types.cost -> ()
+          | Some sol, _ ->
+              best := Some sol;
+              improved := true)
+      (Sweep.combinations pool (!k - 1));
+    if !improved then stale := 0 else incr stale;
+    incr k
+  done;
+  !best
+
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~name:"solve_over_pool = unbounded reference sweep (1/2 domains)" ~count:20
+    (QCheck.int_range 1 100_000)
+    (fun seed ->
+      let _, n, g, lim = random_instance seed ~lo:6 ~hi:30 in
+      let pool = Dih.candidate_pool g lim (min 8 (n - 1)) in
+      let expected = reference_sweep g lim ~pool in
+      List.for_all
+        (fun domains -> same_solution (Sweep.solve_over_pool ~domains g lim ~pool) expected)
+        [ 1; 2 ])
+
+let test_auto_domains_all_regimes () =
+  (* One instance per auto_algorithm regime: exact sweep (n <= 12), DIH
+     sweep (n <= 60), GRASP (beyond). *)
   List.iter
     (fun n ->
       let rng = Rng.create (2000 + n) in
       let g, lims = Gen.random_rdag rng ~n () in
       let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let seq = Decision.auto ~domains:1 g lim in
+      let one = Decision.auto ~domains:1 g lim in
       Alcotest.(check bool)
-        (Printf.sprintf "n=%d: portfolio output identical" n)
+        (Printf.sprintf "n=%d: 4-domain output identical" n)
         true
-        (same_solution (Decision.auto ~domains:4 g lim) seq))
+        (same_solution (Decision.auto ~domains:4 g lim) one))
     [ 10; 30; 70 ]
 
 let resource_drifted_graph rng (g : Callgraph.t) =
@@ -712,31 +788,6 @@ let prop_incremental_matches_touch_all =
           && (match inc with
              | None -> true
              | Some s -> Metrics.solution_valid g' lim s = Ok ()))
-
-let test_sequential_escape_hatch () =
-  let saved = Sys.getenv_opt "QUILT_SEQUENTIAL" in
-  let restore () =
-    Unix.putenv "QUILT_SEQUENTIAL" (match saved with Some v -> v | None -> "")
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "QUILT_SEQUENTIAL" "";
-      let rng = Rng.create 4242 in
-      let g, lims = Gen.random_rdag rng ~n:10 () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let seq = Decision.auto ~domains:1 g lim in
-      (* Unforced, the portfolio runs incumbent-driven searches... *)
-      let c0 = Closure.bounded_search_count () in
-      let unforced = Decision.auto ~domains:4 g lim in
-      Alcotest.(check bool) "portfolio uses the bounded search" true
-        (Closure.bounded_search_count () > c0);
-      Alcotest.(check bool) "portfolio output identical" true (same_solution unforced seq);
-      (* ...and QUILT_SEQUENTIAL=1 must keep it off that path end-to-end. *)
-      Unix.putenv "QUILT_SEQUENTIAL" "1";
-      let c1 = Closure.bounded_search_count () in
-      let forced = Decision.auto ~domains:4 g lim in
-      ignore (Closure.solve_exact_par ~domains:4 g lim ~roots:[ g.Callgraph.root ]);
-      Alcotest.(check int) "no incumbent-driven search ran" c1 (Closure.bounded_search_count ());
-      Alcotest.(check bool) "forced result = sequential auto" true (same_solution forced seq))
 
 let test_decision_names () =
   Alcotest.(check string) "optimal" "optimal" (Decision.algorithm_name Decision.Optimal);
@@ -815,9 +866,10 @@ let suite =
     ( "cluster.parallel",
       [
         QCheck_alcotest.to_alcotest prop_exact_par_matches_exact;
-        QCheck_alcotest.to_alcotest prop_portfolio_auto_matches_sequential;
-        Alcotest.test_case "portfolio parity across regimes" `Slow test_portfolio_all_regimes;
+        QCheck_alcotest.to_alcotest prop_closure_solve_dispatch;
+        QCheck_alcotest.to_alcotest prop_auto_matches_reference_optimal;
+        QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+        Alcotest.test_case "auto parity across regimes" `Slow test_auto_domains_all_regimes;
         QCheck_alcotest.to_alcotest prop_incremental_matches_touch_all;
-        Alcotest.test_case "QUILT_SEQUENTIAL escape hatch" `Quick test_sequential_escape_hatch;
       ] );
   ]

@@ -429,6 +429,33 @@ let test_fan_out_all_merged_equivalence () =
         [ 0; 1; 4; 9 ])
     [ ("rust", "rust"); ("go", "swift"); ("c", "rust") ]
 
+(* [Pipeline.validate] runs the merged entry handler on the QVM, which must
+   agree with the tree-walker on the response and on every counter. *)
+let test_validate_matches_treewalker () =
+  let fns = [ fan_out_all "rust" ~callee:"worker"; worker "go" ] in
+  let report =
+    merge fns ~members:[ "fan-out"; "worker" ] ~root:"fan-out"
+      ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 3)
+      ()
+  in
+  let host = { Interp.invoke = (fun ~kind:_ ~name ~req -> fst (reference fns name req)) } in
+  List.iter
+    (fun num ->
+      let req = Printf.sprintf "{\"num\":%d}" num in
+      match
+        ( Pipeline.validate ~host report ~req,
+          Interp.run_handler ~host report.Pipeline.merged_module ~fname:report.Pipeline.entry ~req )
+      with
+      | Ok (got, qvm), Ok (want, tw) ->
+          let what = Printf.sprintf "num=%d" num in
+          Alcotest.(check string) (what ^ " response") want got;
+          Alcotest.(check string) (what ^ " matches Eval") (fst (reference fns "fan-out" req)) got;
+          Alcotest.(check int) (what ^ " steps") tw.Interp.steps qvm.Interp.steps;
+          Alcotest.(check int) (what ^ " remote async")
+            (List.length tw.Interp.remote_async) (List.length qvm.Interp.remote_async)
+      | Error e, _ | _, Error e -> Alcotest.fail e)
+    [ 0; 2; 7 ]
+
 let test_fan_out_all_guarded_overflow () =
   let fns = [ fan_out_all "rust" ~callee:"worker"; worker "rust" ] in
   let report =
@@ -585,6 +612,7 @@ let suite =
       [
         Alcotest.test_case "fan_out_all equivalence" `Quick test_fan_out_all_merged_equivalence;
         Alcotest.test_case "fan_out_all guarded overflow" `Quick test_fan_out_all_guarded_overflow;
+        Alcotest.test_case "validate = tree-walker" `Quick test_validate_matches_treewalker;
       ] );
     ( "merge.billing",
       [
