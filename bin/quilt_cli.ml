@@ -82,6 +82,8 @@ let merge_cmd async dump_ir req name =
     report.Pipeline.removed_symbols
     (String.concat ", " report.Pipeline.languages)
     (Sizes.binary_size_mb report.Pipeline.merged_module);
+  Printf.printf "strict verifier: %d function checks run, %d reused across stages\n"
+    report.Pipeline.verify_checked report.Pipeline.verify_reused;
   List.iter
     (fun (callee, sites) -> Printf.printf "  merged %-24s (%d call sites rewritten)\n" callee sites)
     report.Pipeline.rounds;

@@ -91,7 +91,33 @@ let find_global m name =
 
 let func_names m = List.map (fun f -> f.fname) m.funcs
 
-let map_funcs fn m = { m with funcs = List.map fn m.funcs }
+(* Passes return the physically same value for anything they leave
+   untouched, so an unchanged element keeps its identity (and the verifier's
+   memo entry for it) from one stage to the next. *)
+let rec map_shared fn l =
+  match l with
+  | [] -> l
+  | x :: tl ->
+      let x' = fn x in
+      let tl' = map_shared fn tl in
+      if x' == x && tl' == tl then l else x' :: tl'
+
+let rec filter_map_shared fn l =
+  match l with
+  | [] -> l
+  | x :: tl -> (
+      let x' = fn x in
+      let tl' = filter_map_shared fn tl in
+      match x' with
+      | Some x' when x' == x && tl' == tl -> l
+      | Some x' -> x' :: tl'
+      | None -> tl')
+
+let filter_shared keep l = filter_map_shared (fun x -> if keep x then Some x else None) l
+
+let map_funcs fn m =
+  let funcs = map_shared fn m.funcs in
+  if funcs == m.funcs then m else { m with funcs }
 
 let replace_func m f =
   if List.exists (fun f' -> f'.fname = f.fname) m.funcs then
@@ -111,15 +137,24 @@ let add_global m g =
 let remove_func m name = { m with funcs = List.filter (fun f -> f.fname <> name) m.funcs }
 
 let map_instrs fn f =
-  if is_declaration f then f
-  else
-    {
-      f with
-      blocks =
-        List.map
-          (fun b -> { b with instrs = List.concat_map fn b.instrs })
-          f.blocks;
-    }
+  let rec expand instrs =
+    match instrs with
+    | [] -> instrs
+    | i :: tl -> (
+        let is = fn i in
+        let tl' = expand tl in
+        match is with
+        | [ i' ] when i' == i -> if tl' == tl then instrs else i :: tl'
+        | is -> is @ tl')
+  in
+  let blocks =
+    map_shared
+      (fun b ->
+        let instrs = expand b.instrs in
+        if instrs == b.instrs then b else { b with instrs })
+      f.blocks
+  in
+  if blocks == f.blocks then f else { f with blocks }
 
 let iter_calls m visit =
   List.iter

@@ -90,7 +90,25 @@ val global_index : modul -> string -> global option
 val func_names : modul -> string list
 (** Names of all defined and declared functions, definition-order. *)
 
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map] that returns the input list itself (physically) when [fn]
+    returns every element physically unchanged, and otherwise shares the
+    longest unchanged tail.  Passes build on it so that a function, block or
+    instruction they leave alone stays the same value, which is what lets
+    {!Verify.checker} reuse its findings. *)
+
+val filter_map_shared : ('a -> 'a option) -> 'a list -> 'a list
+(** [List.filter_map] with the sharing of {!map_shared}: the input list
+    itself when [fn] keeps every element physically unchanged. *)
+
+val filter_shared : ('a -> bool) -> 'a list -> 'a list
+(** [List.filter] that returns the input list itself when it keeps every
+    element. *)
+
 val map_funcs : (func -> func) -> modul -> modul
+(** Returns [m] itself when [fn] returns every function physically
+    unchanged. *)
+
 val replace_func : modul -> func -> modul
 (** Replaces the function with the same name; adds it if absent. *)
 
@@ -100,7 +118,10 @@ val remove_func : modul -> string -> modul
 
 val map_instrs : (instr -> instr list) -> func -> func
 (** Rewrites every instruction of a definition; one instruction may expand
-    to several. *)
+    to several.  An instruction mapped to the one-element list of itself
+    counts as unchanged: a function where every instruction is unchanged
+    (a declaration, say) is returned physically, and so is every untouched
+    block of a function that changed. *)
 
 val iter_calls : modul -> (caller:func -> instr -> unit) -> unit
 (** Visits every [Call] instruction in every definition. *)

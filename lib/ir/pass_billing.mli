@@ -10,6 +10,8 @@
     {!Interp.stats.billing}. *)
 
 val run : Ir.modul -> Ir.modul
+(** Functions other than handlers and localized bodies are returned
+    physically unchanged. *)
 
 val billed_functions : Ir.modul -> string list
 (** Original function names instrumented in the module. *)

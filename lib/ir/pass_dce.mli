@@ -8,7 +8,7 @@
 val run : roots:string list -> Ir.modul -> Ir.modul
 (** Keeps the root functions, everything transitively referenced from them
     (call targets, global references), and nothing else.  Unknown root names
-    are ignored. *)
+    are ignored.  Kept functions are returned physically unchanged. *)
 
 val unused_symbols : roots:string list -> Ir.modul -> string list
 (** What {!run} would remove; useful for reporting. *)

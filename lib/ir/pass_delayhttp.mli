@@ -10,6 +10,8 @@
     and the cold-start model both observe this. *)
 
 val run : Ir.modul -> Ir.modul
+(** A function with no HTTP-init or invocation call is returned physically
+    unchanged (see {!Ir.map_instrs}). *)
 
 val eager_init_count : Ir.modul -> int
 (** Number of remaining eager [quilt_curl_global_init] calls (0 after the

@@ -140,30 +140,37 @@ let try_coalesce (blocks : Ir.block list) =
 
 let drop_unreachable (f : Ir.func) =
   let cfg = Analysis.cfg_of_func f in
-  let kept = ref [] in
-  Array.iteri
-    (fun i (b : Ir.block) -> if cfg.Analysis.reachable.(i) then kept := b :: !kept)
-    cfg.Analysis.blocks;
-  let blocks = List.rev !kept in
+  let i = ref (-1) in
+  let blocks =
+    Ir.filter_shared
+      (fun _ ->
+        incr i;
+        cfg.Analysis.reachable.(!i))
+      f.Ir.blocks
+  in
   let labels = List.map (fun (b : Ir.block) -> b.Ir.label) blocks in
   (* Dropping a block invalidates incomings that named it. *)
   let prune (i : Ir.instr) =
     match i with
     | Ir.Phi p ->
-        let incoming = List.filter (fun (_, l) -> List.mem l labels) p.incoming in
-        Ir.Phi { p with incoming = (if incoming = [] then p.incoming else incoming) }
+        let incoming = Ir.filter_shared (fun (_, l) -> List.mem l labels) p.incoming in
+        if incoming == p.incoming || incoming = [] then i else Ir.Phi { p with incoming }
     | _ -> i
   in
-  {
-    f with
-    Ir.blocks = List.map (fun (b : Ir.block) -> { b with Ir.instrs = List.map prune b.Ir.instrs }) blocks;
-  }
+  let blocks =
+    Ir.map_shared
+      (fun (b : Ir.block) ->
+        let instrs = Ir.map_shared prune b.Ir.instrs in
+        if instrs == b.Ir.instrs then b else { b with Ir.instrs })
+      blocks
+  in
+  if blocks == f.Ir.blocks then f else { f with Ir.blocks }
 
 let run_func (f : Ir.func) =
   let rec fix blocks budget =
     if budget = 0 then blocks
     else begin
-      let blocks = List.map collapse_cbr blocks in
+      let blocks = Ir.map_shared collapse_cbr blocks in
       match try_bypass blocks with
       | Some blocks' -> fix blocks' (budget - 1)
       | None -> (
@@ -175,7 +182,7 @@ let run_func (f : Ir.func) =
   (* Each rewrite removes an edge or a block, so #blocks * 2 rounds is a
      generous fixpoint bound. *)
   let blocks = fix f.Ir.blocks ((2 * List.length f.Ir.blocks) + 4) in
-  drop_unreachable { f with Ir.blocks }
+  drop_unreachable (if blocks == f.Ir.blocks then f else { f with Ir.blocks })
 
 let run (m : Ir.modul) =
   Ir.map_funcs (fun f -> if Ir.is_declaration f then f else run_func f) m

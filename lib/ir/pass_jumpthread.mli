@@ -12,6 +12,7 @@
 
     Control-flow only: no instruction is reordered, duplicated or
     deleted, so the pass is trivially semantics-preserving on verified
-    modules. *)
+    modules.  A function none of the rewrites applies to is returned
+    physically unchanged. *)
 
 val run : Ir.modul -> Ir.modul

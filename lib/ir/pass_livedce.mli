@@ -11,7 +11,8 @@
 
     Only binops, compares, geps, selects, phis and allocas are ever
     deleted; integer division counts as pure here, so an unused division
-    by zero is dropped rather than kept as a trap.  Expects a module that
+    by zero is dropped rather than kept as a trap.  A function with nothing
+    to drop is returned physically unchanged.  Expects a module that
     passes {!Verify.run}. *)
 
 val run : Ir.modul -> Ir.modul

@@ -290,12 +290,13 @@ let rewrite_function (m : Ir.modul) ~service ~caller2c_for ~mode (f : Ir.func) =
             })
           blocks
     in
-    ({ f with Ir.blocks = blocks }, !count, !counters)
+    (* A function without sites stays the same value. *)
+    if !count = 0 then (f, 0, []) else ({ f with Ir.blocks = blocks }, !count, !counters)
   end
 
 let insert_counter_reset (m : Ir.modul) ~handler counters =
   match Ir.find_func m handler with
-  | Some f when not (Ir.is_declaration f) ->
+  | Some f when counters <> [] && not (Ir.is_declaration f) ->
       let resets =
         List.map
           (fun c ->

@@ -44,6 +44,8 @@ val rewrite_call_sites :
     consulted per containing function, so different call-graph edges can
     carry different profiled α values.  [reset_in] names the handler at
     whose entry conditional-mode counters are reset (once per request).
+    Every function with no site to rewrite (and, when no conditional site
+    was rewritten, [reset_in] too) is returned physically unchanged.
 
     Call at most once per [service] on a module: a conditional site keeps
     its original remote invocation as the fallback, which a second call

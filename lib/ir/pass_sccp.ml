@@ -245,55 +245,67 @@ let run_func (f : Ir.func) =
         | _ -> false)
     | None -> false
   in
+  (* Only operands naming a folded or copied local change; an instruction,
+     block or function with none stays the same value. *)
+  let touched v =
+    match v with Ir.Local l -> const_for l <> None || Hashtbl.mem copies l | Ir.Const _ -> false
+  in
   let rewrite_instr bi (i : Ir.instr) =
     if dropped_dst i then None
     else
-      Some
-        (match i with
-        | Ir.Binop b -> Ir.Binop { b with lhs = resolve b.lhs; rhs = resolve b.rhs }
-        | Ir.Icmp c -> Ir.Icmp { c with lhs = resolve c.lhs; rhs = resolve c.rhs }
-        | Ir.Call c -> Ir.Call { c with args = List.map (fun (ty, v) -> (ty, resolve v)) c.args }
-        | Ir.Alloca a -> Ir.Alloca { a with bytes = resolve a.bytes }
-        | Ir.Load l -> Ir.Load { l with ptr = resolve l.ptr }
-        | Ir.Store s -> Ir.Store { s with src = resolve s.src; ptr = resolve s.ptr }
-        | Ir.Gep g -> Ir.Gep { g with base = resolve g.base; offset = resolve g.offset }
-        | Ir.Phi p ->
-            let incoming =
-              List.map (fun (v, l) -> (resolve v, l)) (live_incoming bi p.incoming)
-            in
-            Ir.Phi { p with incoming = (if incoming = [] then p.incoming else incoming) }
-        | Ir.Select s ->
-            Ir.Select
-              { s with cond = resolve s.cond; if_true = resolve s.if_true; if_false = resolve s.if_false })
+      match i with
+      | Ir.Phi p ->
+          let live = live_incoming bi p.incoming in
+          if
+            List.compare_lengths live p.incoming = 0
+            && not (List.exists (fun (v, _) -> touched v) live)
+          then Some i
+          else
+            let incoming = List.map (fun (v, l) -> (resolve v, l)) live in
+            Some (Ir.Phi { p with incoming = (if incoming = [] then p.incoming else incoming) })
+      | _ when not (List.exists touched (Analysis.instr_operands i)) -> Some i
+      | Ir.Binop b -> Some (Ir.Binop { b with lhs = resolve b.lhs; rhs = resolve b.rhs })
+      | Ir.Icmp c -> Some (Ir.Icmp { c with lhs = resolve c.lhs; rhs = resolve c.rhs })
+      | Ir.Call c -> Some (Ir.Call { c with args = List.map (fun (ty, v) -> (ty, resolve v)) c.args })
+      | Ir.Alloca a -> Some (Ir.Alloca { a with bytes = resolve a.bytes })
+      | Ir.Load l -> Some (Ir.Load { l with ptr = resolve l.ptr })
+      | Ir.Store s -> Some (Ir.Store { s with src = resolve s.src; ptr = resolve s.ptr })
+      | Ir.Gep g -> Some (Ir.Gep { g with base = resolve g.base; offset = resolve g.offset })
+      | Ir.Select s ->
+          Some
+            (Ir.Select
+               {
+                 s with
+                 cond = resolve s.cond;
+                 if_true = resolve s.if_true;
+                 if_false = resolve s.if_false;
+               })
   in
   let rewrite_term (t : Ir.terminator) =
     match t with
-    | Ir.Ret (Some (ty, v)) -> Ir.Ret (Some (ty, resolve v))
+    | Ir.Ret (Some (ty, v)) -> if touched v then Ir.Ret (Some (ty, resolve v)) else t
     | Ir.Cbr { cond; if_true; if_false } -> (
         match resolve cond with
-        | Ir.Const c -> (
-            match konst_of_const c with
-            | KInt x -> Ir.Br (if x <> 0L then if_true else if_false)
-            | KFloat _ | KGlobal _ -> Ir.Cbr { cond = resolve cond; if_true; if_false })
-        | cond -> Ir.Cbr { cond; if_true; if_false })
+        | Ir.Const (Ir.Cint (_, x)) -> Ir.Br (if x <> 0L then if_true else if_false)
+        | Ir.Const Ir.Cnull -> Ir.Br if_false
+        | cond' -> if cond' == cond then t else Ir.Cbr { cond = cond'; if_true; if_false })
     | Ir.Ret None | Ir.Br _ | Ir.Unreachable -> t
   in
+  (* [blocks] is [f.blocks] as an array, so the running index is [bi]. *)
+  let bi = ref (-1) in
   let blocks' =
-    List.concat
-      (List.mapi
-         (fun bi (b : Ir.block) ->
-           if not block_exec.(bi) then []
-           else
-             [
-               {
-                 b with
-                 Ir.instrs = List.filter_map (rewrite_instr bi) b.Ir.instrs;
-                 term = rewrite_term b.Ir.term;
-               };
-             ])
-         (Array.to_list blocks))
+    Ir.filter_map_shared
+      (fun (b : Ir.block) ->
+        incr bi;
+        if not block_exec.(!bi) then None
+        else begin
+          let instrs = Ir.filter_map_shared (rewrite_instr !bi) b.Ir.instrs in
+          let term = rewrite_term b.Ir.term in
+          Some (if instrs == b.Ir.instrs && term == b.Ir.term then b else { b with Ir.instrs; term })
+        end)
+      f.Ir.blocks
   in
-  { f with Ir.blocks = blocks' }
+  if blocks' == f.Ir.blocks then f else { f with Ir.blocks = blocks' }
 
 let run (m : Ir.modul) =
   Ir.map_funcs (fun f -> if Ir.is_declaration f then f else run_func f) m

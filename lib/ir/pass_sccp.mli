@@ -16,6 +16,9 @@
     remainder are never folded when the divisor is zero (the runtime trap
     is kept), branch truth mirrors the interpreter ([c <> 0L]), and float
     folding follows IEEE like the tree-walker does.  Expects a module that
-    passes {!Verify.run}; behaviour on ill-formed input is unspecified. *)
+    passes {!Verify.run}; behaviour on ill-formed input is unspecified.
+
+    A function with nothing to fold, copy or prune is returned physically
+    unchanged, and so is every untouched block and instruction. *)
 
 val run : Ir.modul -> Ir.modul

@@ -83,7 +83,7 @@ let resolver subst =
   in
   resolve ?seen:None
 
-let inline_into tbl changed (f : Ir.func) =
+let inline_into tbl (f : Ir.func) =
   (* Site counter starts past any [inl.<k>.] names already present, so the
      pass stays collision-free if ever run twice. *)
   let site = ref 0 in
@@ -103,6 +103,7 @@ let inline_into tbl changed (f : Ir.func) =
         b.Ir.instrs)
     f.Ir.blocks;
   let subst = Hashtbl.create 8 in
+  let expanded = ref false in
   let expand (i : Ir.instr) =
     match i with
     | Ir.Call { dst; ret = _; callee; args } when callee <> f.Ir.fname -> (
@@ -114,10 +115,10 @@ let inline_into tbl changed (f : Ir.func) =
             match (dst, rv) with
             | Some d, Some rv ->
                 Hashtbl.replace subst d rv;
-                changed := true;
+                expanded := true;
                 instrs
             | None, _ ->
-                changed := true;
+                expanded := true;
                 instrs
             | Some _, None ->
                 (* Value expected from a void shim: leave the site alone and
@@ -128,7 +129,8 @@ let inline_into tbl changed (f : Ir.func) =
     | _ -> [ i ]
   in
   let blocks = List.map (fun b -> { b with Ir.instrs = List.concat_map expand b.Ir.instrs }) f.Ir.blocks in
-  if Hashtbl.length subst = 0 then { f with Ir.blocks }
+  if not !expanded then f
+  else if Hashtbl.length subst = 0 then { f with Ir.blocks }
   else begin
     let resolve = resolver subst in
     let rw_instr = map_instr ~dst:(fun d -> d) ~v:resolve in
@@ -155,11 +157,10 @@ let run (m : Ir.modul) =
       let tbl = inlinable_table m in
       if Hashtbl.length tbl = 0 then m
       else begin
-        let changed = ref false in
-        let m' =
-          Ir.map_funcs (fun f -> if Ir.is_declaration f then f else inline_into tbl changed f) m
-        in
-        if !changed then go m' (round + 1) else m'
+        (* Functions without a site come back physically, so an
+           unchanged module is the input itself. *)
+        let m' = Ir.map_funcs (fun f -> if Ir.is_declaration f then f else inline_into tbl f) m in
+        if m' != m then go m' (round + 1) else m'
       end
     end
   in

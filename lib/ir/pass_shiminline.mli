@@ -17,7 +17,8 @@
     dispatch disappears — so responses, traps and billing are unchanged.
 
     Only functions named [caller2c_*] / [c2callee_*] with a single block,
-    no phis and a [ret] terminator are ever considered.  Expects a module
+    no phis and a [ret] terminator are ever considered.  A function with
+    no shim call site is returned physically unchanged.  Expects a module
     that passes {!Verify.run}. *)
 
 val is_shim : string -> bool

@@ -33,11 +33,31 @@ let is_int_ty = function
 
 (* --- Base tier: name resolution, arity, return consistency --- *)
 
-let check_func (m : Ir.modul) (f : Ir.func) =
+type signature = Ir.ty list * Ir.ty
+
+(* All the base tier asks of the rest of the module: a callee's signature
+   and whether an [@name] reference resolves.  The checker records the
+   answers a function's findings were computed from. *)
+type resolver = {
+  callee_sig : string -> signature option;
+  global_defined : string -> bool;
+}
+
+let resolver (m : Ir.modul) =
   (* Memoized per-module indexes: O(1) per name probe across the many
      call-sites and global references a merged module accumulates. *)
   let fidx = Ir.func_index m in
   let gidx = Ir.global_index m in
+  {
+    callee_sig =
+      (fun callee ->
+        match fidx callee with
+        | Some target -> Some (List.map snd target.Ir.params, target.Ir.ret_ty)
+        | None -> Intrinsics.signature callee);
+    global_defined = (fun g -> gidx g <> None || fidx g <> None);
+  }
+
+let check_func (r : resolver) (f : Ir.func) =
   let out = ref [] in
   let add d = out := d :: !out in
   let where = f.Ir.fname in
@@ -73,7 +93,7 @@ let check_func (m : Ir.modul) (f : Ir.func) =
             if not (Hashtbl.mem locals l) then
               add (diag ~code:"V003" ~block where "use of undefined local %%%s" l)
         | Ir.Const (Ir.Cglobal g) ->
-            if gidx g = None && fidx g = None then
+            if not (r.global_defined g) then
               add (diag ~code:"V004" ~block where "reference to undefined global @%s" g)
         | Ir.Const (Ir.Cint _ | Ir.Cfloat _ | Ir.Cnull) -> ()
       in
@@ -86,12 +106,7 @@ let check_func (m : Ir.modul) (f : Ir.func) =
           (match i with
           | Ir.Call { callee; args; ret; dst } -> (
               List.iter (fun (_, v) -> check_value v) args;
-              let known_sig =
-                match fidx callee with
-                | Some target -> Some (List.map snd target.Ir.params, target.Ir.ret_ty)
-                | None -> Intrinsics.signature callee
-              in
-              (match known_sig with
+              (match r.callee_sig callee with
               | None -> add (diag ~code:"V005" ~block where "call to unknown function @%s" callee)
               | Some (ptys, rty) ->
                   if List.length ptys <> List.length args then
@@ -163,12 +178,19 @@ let check_func_strict (f : Ir.func) =
     let ty_of v = Analysis.type_of_value types v in
     (* [expect ~code ~block what ty v]: operand [v] must type as [ty] when
        its type is known at all (undefined locals are the base tier's
-       V003, not re-reported here). *)
+       V003, not re-reported here).  [mistyped] is the test alone, for
+       callers whose [what] is built per operand: they format it only for
+       a finding. *)
+    let mistyped ty v =
+      match ty_of v with Some got when got <> ty -> Some got | Some _ | None -> None
+    in
+    let report_mistyped ~code ~block what ty got =
+      add (diag ~code ~block where "%s must be %s, got %s" what (ty_name ty) (ty_name got))
+    in
     let expect ~code ~block what ty v =
-      match ty_of v with
-      | Some got when got <> ty ->
-          add (diag ~code ~block where "%s must be %s, got %s" what (ty_name ty) (ty_name got))
-      | Some _ | None -> ()
+      match mistyped ty v with
+      | Some got -> report_mistyped ~code ~block what ty got
+      | None -> ()
     in
     let expect_int ~code ~block what v =
       match ty_of v with
@@ -194,10 +216,6 @@ let check_func_strict (f : Ir.func) =
     Array.iteri
       (fun bi (b : Ir.block) ->
         let block = b.Ir.label in
-        let pred_labels =
-          List.sort_uniq String.compare
-            (List.map (fun p -> cfg.Analysis.blocks.(p).Ir.label) cfg.Analysis.preds.(bi))
-        in
         if not cfg.Analysis.reachable.(bi) then
           add
             (diag ~code:"W001" ~severity:Warning ~block where "block %%%s is unreachable" block)
@@ -262,7 +280,13 @@ let check_func_strict (f : Ir.func) =
             | Ir.Phi { ty; incoming; _ } ->
                 if ty = Ir.Void then add (diag ~code:"S005" ~block where "phi at type void");
                 List.iter
-                  (fun (v, l) -> expect ~code:"S005" ~block (Printf.sprintf "phi incoming from %%%s" l) ty v)
+                  (fun (v, l) ->
+                    match mistyped ty v with
+                    | Some got ->
+                        report_mistyped ~code:"S005" ~block
+                          (Printf.sprintf "phi incoming from %%%s" l)
+                          ty got
+                    | None -> ())
                   incoming
             | Ir.Load { ty; ptr; _ } ->
                 if ty = Ir.Void then add (diag ~code:"S006" ~block where "load at type void");
@@ -278,9 +302,12 @@ let check_func_strict (f : Ir.func) =
             | Ir.Call { callee; args; _ } ->
                 List.iter
                   (fun (ty, v) ->
-                    expect ~code:"S009" ~block
-                      (Printf.sprintf "argument to @%s declared %s" callee (ty_name ty))
-                      ty v)
+                    match mistyped ty v with
+                    | Some got ->
+                        report_mistyped ~code:"S009" ~block
+                          (Printf.sprintf "argument to @%s declared %s" callee (ty_name ty))
+                          ty got
+                    | None -> ())
                   args)
           b.Ir.instrs;
         (match b.Ir.term with
@@ -299,7 +326,11 @@ let check_func_strict (f : Ir.func) =
               add (diag ~code:"S008" ~block where "phi %%%s in entry block" dst)
           | [] -> ()
         end
-        else if cfg.Analysis.reachable.(bi) then
+        else if cfg.Analysis.reachable.(bi) && phis <> [] then begin
+          let pred_labels =
+            List.sort_uniq String.compare
+              (List.map (fun p -> cfg.Analysis.blocks.(p).Ir.label) cfg.Analysis.preds.(bi))
+          in
           List.iter
             (fun (dst, incoming) ->
               let inc_labels = List.sort_uniq String.compare (List.map snd incoming) in
@@ -309,7 +340,8 @@ let check_func_strict (f : Ir.func) =
                      "phi %%%s incomings {%s} disagree with predecessors {%s}" dst
                      (String.concat ", " inc_labels)
                      (String.concat ", " pred_labels)))
-            phis)
+            phis
+        end)
       cfg.Analysis.blocks;
     (* W002: stores into slots that are never read. *)
     let dead_slots = Analysis.write_only_slots f in
@@ -419,7 +451,8 @@ let interference (m : Ir.modul) =
 
 (* --- Entry points --- *)
 
-let run ?(strict = false) (m : Ir.modul) =
+(* V012: module-level, so it runs in full on every call. *)
+let module_diags (m : Ir.modul) =
   let out = ref [] in
   let seen = Hashtbl.create 64 in
   List.iter
@@ -435,17 +468,91 @@ let run ?(strict = false) (m : Ir.modul) =
         out := diag ~code:"V012" "module" "duplicate global @%s" g.Ir.gname :: !out;
       Hashtbl.replace gseen g.Ir.gname ())
     m.Ir.globals;
-  let func_diags =
-    List.concat_map
-      (fun f -> check_func m f @ if strict then check_func_strict f else [])
-      m.Ir.funcs
-  in
-  List.rev !out @ func_diags
+  List.rev !out
 
-let check_exn ?strict ?stage m =
-  match List.filter (fun d -> d.severity = Error) (run ?strict m) with
+let run ?(strict = false) (m : Ir.modul) =
+  let r = resolver m in
+  module_diags m
+  @ List.concat_map (fun f -> check_func r f @ if strict then check_func_strict f else []) m.Ir.funcs
+
+let errors diags = List.filter (fun d -> d.severity = Error) diags
+
+let fail_on ?stage = function
   | [] -> ()
   | diags ->
       let msgs = List.map to_string diags in
       let prefix = match stage with None -> "Verify" | Some s -> "Verify[" ^ s ^ "]" in
       failwith (prefix ^ ": " ^ String.concat "; " msgs)
+
+let check_exn ?strict ?stage m = fail_on ?stage (errors (run ?strict m))
+
+(* --- Incremental strict checking ---
+
+   One memo entry per function name, valid for one physical function
+   value.  The strict tier reads nothing but the function, so its errors
+   are reused as they are.  The base tier also reads the module through
+   the resolver; an entry keeps every answer it got, and is reused only
+   while the current module gives the same answers. *)
+
+type entry = {
+  func : Ir.func;
+  strict_errors : diagnostic list;
+  base_errors : diagnostic list;
+  sigs : (string * signature option) list;  (** Each callee, as resolved. *)
+  globals : (string * bool) list;  (** Each [@name] reference, resolved or not. *)
+}
+
+type checker = {
+  memo : (string, entry) Hashtbl.t;
+  mutable checked : int;
+  mutable reused : int;
+}
+
+let checker () = { memo = Hashtbl.create 64; checked = 0; reused = 0 }
+
+let counts c = (c.checked, c.reused)
+
+(* The base tier run through [r], returning its errors with the answers
+   [r] gave, each name once. *)
+let check_func_recorded (r : resolver) f =
+  let sigs = Hashtbl.create 8 and globals = Hashtbl.create 8 in
+  let record tbl lookup name =
+    let v = lookup name in
+    if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name v;
+    v
+  in
+  let base =
+    check_func
+      {
+        callee_sig = record sigs r.callee_sig;
+        global_defined = record globals r.global_defined;
+      }
+      f
+  in
+  let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  (errors base, bindings sigs, bindings globals)
+
+let resolves_as (r : resolver) e =
+  List.for_all (fun (c, s) -> r.callee_sig c = s) e.sigs
+  && List.for_all (fun (g, b) -> r.global_defined g = b) e.globals
+
+let check c ~stage m =
+  let r = resolver m in
+  let func_errors (f : Ir.func) =
+    match Hashtbl.find_opt c.memo f.Ir.fname with
+    | Some e when e.func == f && resolves_as r e ->
+        c.reused <- c.reused + 1;
+        e.base_errors @ e.strict_errors
+    | cached ->
+        c.checked <- c.checked + 1;
+        let base_errors, sigs, globals = check_func_recorded r f in
+        let strict_errors =
+          match cached with
+          | Some e when e.func == f -> e.strict_errors
+          | Some _ | None -> errors (check_func_strict f)
+        in
+        Hashtbl.replace c.memo f.Ir.fname { func = f; strict_errors; base_errors; sigs; globals };
+        base_errors @ strict_errors
+  in
+  let module_errors = errors (module_diags m) in
+  fail_on ~stage (module_errors @ List.concat_map func_errors m.Ir.funcs)

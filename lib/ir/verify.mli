@@ -1,4 +1,5 @@
-(** Module well-formedness checks, run after every pipeline stage.
+(** Module well-formedness checks, run after every pipeline stage (there
+    through {!checker}, which re-checks only the functions a stage changed).
 
     Two tiers.  The base tier catches what merging most often breaks:
     duplicate symbols, calls whose signature disagrees with the target,
@@ -47,3 +48,36 @@ val check_exn : ?strict:bool -> ?stage:string -> Ir.modul -> unit
 (** Raises [Failure] with a readable summary if {!run} reports any
     [Error]-severity diagnostic ([Warning]s never raise).  [stage] names
     the pipeline stage in the summary. *)
+
+(** {1 Incremental strict checking}
+
+    A merge runs {!check_exn}[ ~strict:true] after every stage, yet most
+    stages rewrite a handful of functions and return the rest physically
+    unchanged (see {!Ir.map_shared}).  A checker remembers each function's
+    findings and recomputes them only for functions it has not seen. *)
+
+type checker
+(** Per-function findings of the modules checked so far, keyed on each
+    function's physical value.  Meant to live for one merge: it keeps the
+    latest value per function name. *)
+
+val checker : unit -> checker
+
+val check : checker -> stage:string -> Ir.modul -> unit
+(** [check c ~stage m] raises exactly when
+    [check_exn ~strict:true ~stage m] would, with the same message.
+
+    A function physically equal to the one last checked under its name
+    reuses that check's findings.  Its strict-tier findings depend on the
+    function alone and are reused as they are.  Its base-tier findings
+    also depend on the module: the entry records every callee's signature
+    and whether every [@name] it references exists, and is reused only
+    when [m] resolves each of those names the same way; otherwise the base
+    tier runs again on the function.  Module-level checks (V012 duplicate
+    symbols) run in full on every call.  Any other function is checked in
+    full and its findings replace the entry for its name. *)
+
+val counts : checker -> int * int
+(** [(checked, reused)] over every {!check} call so far, one per function
+    per call: [checked] functions had a tier recomputed, [reused] ones
+    had neither. *)

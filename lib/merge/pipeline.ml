@@ -10,9 +10,13 @@ type report = {
   languages : string list;
   merged_module : Ir.modul;
   entry : string;
+  verify_checked : int;
+  verify_reused : int;
 }
 
 let entry_handler root = Ast.handler_symbol root
+
+let all_local ~caller:_ ~callee:_ = Always_local
 
 (* Symbols never renamed on link: natives resolve to the host, the SDK
    runtime deduplicates per language, and service-name globals are shared
@@ -51,15 +55,24 @@ let bfs_order ~members ~edges ~root =
     members;
   List.rev !order
 
-let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize () =
+type stage = { name : string; rewrite : Ir.modul -> Ir.modul }
+
+(* Every stage's output is checked under the stage's name: a stage that
+   breaks SSA dominance, typing or phi/CFG agreement is reported by name
+   instead of surfacing as a miscompiled module three passes later. *)
+let run_stages ~check m stages =
+  List.fold_left
+    (fun m s ->
+      let m = s.rewrite m in
+      check ~stage:s.name m;
+      m)
+    m stages
+
+(* What the stages report besides their module, filled in as they run. *)
+type tally = { mutable rounds_rev : (string * int) list; mutable removed : int }
+
+let plan ~lookup ~members ~root ~edge_mode ~billing ~optimize =
   if not (List.mem root members) then failwith "Pipeline.merge_group: root must be a member";
-  (* The strict verifier runs after every stage: a stage that breaks SSA
-     dominance, typing or phi/CFG agreement is reported by name instead of
-     surfacing as a miscompiled module three passes later. *)
-  let checked ~stage m =
-    Verify.check_exn ~strict:true ~stage m;
-    m
-  in
   let member_set = Hashtbl.create 16 in
   List.iter (fun m -> Hashtbl.replace member_set m ()) members;
   (* Member-internal edges from the ASTs. *)
@@ -81,6 +94,7 @@ let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
       Hashtbl.replace service_of_symbol (Ast.local_symbol svc) svc)
     members;
   let root_handler = entry_handler root in
+  let tally = { rounds_rev = []; removed = 0 } in
   (* Steps ①–③ for every member in BFS order, then the callee half of
      step ④: compile unless the code is already in the module (§5.4),
      RenameFunc, llvm-link with runtime dedup, and localize the handler. *)
@@ -99,56 +113,78 @@ let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
     else Pass_mergefunc.localize_handler merged ~handler ~local_name
   in
   let callees = List.filter (fun svc -> svc <> root) order in
-  let linked =
-    checked ~stage:"link" (List.fold_left link (Frontend.compile (lookup root)) callees)
-  in
   (* Step ④'s call-site half, once per callee: every member is already in
      the module, so one rewrite localizes each member-internal site exactly
      once, whichever member calls it. *)
-  let merged, rounds =
-    List.fold_left_map
-      (fun merged callee ->
-        let mode ~caller =
-          match Hashtbl.find_opt service_of_symbol caller with
-          | Some caller_svc -> (
-              match edge_mode ~caller:caller_svc ~callee with
-              | Always_local -> Pass_mergefunc.Unconditional
-              | Guarded alpha -> Pass_mergefunc.Conditional alpha)
-          | None -> Pass_mergefunc.Unconditional
-        in
-        let m, n =
-          Pass_mergefunc.rewrite_call_sites merged ~service:callee
-            ~local_name:(Ast.local_symbol callee) ~callee_lang:(lookup callee).Ast.fn_lang ~mode
-            ~reset_in:root_handler
-        in
-        (checked ~stage:("mergefunc:" ^ callee) m, (callee, n)))
-      linked callees
+  let mergefunc callee merged =
+    let mode ~caller =
+      match Hashtbl.find_opt service_of_symbol caller with
+      | Some caller_svc -> (
+          match edge_mode ~caller:caller_svc ~callee with
+          | Always_local -> Pass_mergefunc.Unconditional
+          | Guarded alpha -> Pass_mergefunc.Conditional alpha)
+      | None -> Pass_mergefunc.Unconditional
+    in
+    let m, n =
+      Pass_mergefunc.rewrite_call_sites merged ~service:callee ~local_name:(Ast.local_symbol callee)
+        ~callee_lang:(lookup callee).Ast.fn_lang ~mode ~reset_in:root_handler
+    in
+    tally.rounds_rev <- (callee, n) :: tally.rounds_rev;
+    m
   in
-  let merged = ref merged in
-  (* Step ⑦: DelayHTTP. *)
-  merged := checked ~stage:"delayhttp" (Pass_delayhttp.run !merged);
-  (* Steps ⑧–⑩: the analysis-driven optimization passes (SCCP also folds
-     the localization aliases), then strip everything unreachable from the
-     entry handler. *)
-  if optimize then begin
-    merged := checked ~stage:"shiminline" (Pass_shiminline.run !merged);
-    merged := checked ~stage:"sccp" (Pass_sccp.run !merged);
-    merged := checked ~stage:"jumpthread" (Pass_jumpthread.run !merged);
-    merged := checked ~stage:"livedce" (Pass_livedce.run !merged)
-  end;
-  let before = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
-  merged := checked ~stage:"dce" (Pass_dce.run ~roots:[ root_handler ] !merged);
-  let after = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
-  (* Optional per-function billing instrumentation (§8). *)
-  if billing then merged := checked ~stage:"billing" (Pass_billing.run !merged);
-  merged := { !merged with Ir.mname = Printf.sprintf "quilt-merged.%s" (Ast.mangle root) };
-  Verify.check_exn ~strict:true ~stage:"final" !merged;
+  (* Steps ⑧–⑩ strip everything unreachable from the entry handler. *)
+  let dce m =
+    let symbols m = List.length m.Ir.funcs + List.length m.Ir.globals in
+    let m' = Pass_dce.run ~roots:[ root_handler ] m in
+    tally.removed <- symbols m - symbols m';
+    m'
+  in
+  let stage name rewrite = { name; rewrite } in
+  let stages =
+    [ stage "link" (fun m -> List.fold_left link m callees) ]
+    @ List.map (fun callee -> stage ("mergefunc:" ^ callee) (mergefunc callee)) callees
+    (* Step ⑦: DelayHTTP. *)
+    @ [ stage "delayhttp" Pass_delayhttp.run ]
+    (* The analysis-driven optimization passes (SCCP also folds the
+       localization aliases). *)
+    @ (if optimize then
+         [
+           stage "shiminline" Pass_shiminline.run;
+           stage "sccp" Pass_sccp.run;
+           stage "jumpthread" Pass_jumpthread.run;
+           stage "livedce" Pass_livedce.run;
+         ]
+       else [])
+    @ [ stage "dce" dce ]
+    (* Optional per-function billing instrumentation (§8). *)
+    @ (if billing then [ stage "billing" Pass_billing.run ] else [])
+    @ [
+        stage "final" (fun m ->
+            { m with Ir.mname = Printf.sprintf "quilt-merged.%s" (Ast.mangle root) });
+      ]
+  in
+  (Frontend.compile (lookup root), stages, tally)
+
+let stages ~lookup ~members ~root ?(edge_mode = all_local)
+    ?(billing = false) ?(optimize = true) () =
+  let m0, stages, _ = plan ~lookup ~members ~root ~edge_mode ~billing ~optimize in
+  (m0, stages)
+
+let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize () =
+  let m0, stages, tally = plan ~lookup ~members ~root ~edge_mode ~billing ~optimize in
+  (* One checker for the whole merge: each stage re-checks only the
+     functions it changed. *)
+  let checker = Verify.checker () in
+  let merged = run_stages ~check:(Verify.check checker) m0 stages in
+  let verify_checked, verify_reused = Verify.counts checker in
   {
-    rounds;
-    removed_symbols = before - after;
-    languages = Ir.langs !merged;
-    merged_module = !merged;
-    entry = root_handler;
+    rounds = List.rev tally.rounds_rev;
+    removed_symbols = tally.removed;
+    languages = Ir.langs merged;
+    merged_module = merged;
+    entry = entry_handler root;
+    verify_checked;
+    verify_reused;
   }
 
 (* --- Content-addressed merge cache ---
@@ -223,7 +259,7 @@ let cache_key ~lookup ~members ~root ~edge_mode ~billing ~optimize =
     sorted;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let merge_group ~lookup ~members ~root ?(edge_mode = fun ~caller:_ ~callee:_ -> Always_local)
+let merge_group ~lookup ~members ~root ?(edge_mode = all_local)
     ?(billing = false) ?(optimize = true) () =
   if not (Atomic.get cache_enabled) then
     merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()

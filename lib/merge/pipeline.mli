@@ -20,7 +20,13 @@
     Afterwards the HTTP-stack initialisation is delayed (⑦ DelayHTTP), the
     optional optimization passes run, and unreferenced functions, runtimes
     and globals are stripped (⑧–⑩ llc / Implib.so / gc-sections, modelled
-    by global DCE).  The result is verified. *)
+    by global DCE).  The result is verified.
+
+    Every stage's output is checked by the strict verifier, through one
+    {!Quilt_ir.Verify.checker} per merge: a stage re-checks only the
+    functions it changed (passes return untouched functions physically),
+    module-level checks run in full at every stage, and a failure carries
+    the same stage-named message full re-verification would give. *)
 
 type edge_mode = Always_local | Guarded of int
 (** [Guarded alpha]: the first [alpha] calls per request stay local, later
@@ -36,6 +42,11 @@ type report = {
   languages : string list;  (** Distinct source languages in the result. *)
   merged_module : Quilt_ir.Ir.modul;
   entry : string;  (** The entry handler symbol, [entry_handler root]. *)
+  verify_checked : int;
+      (** Per-stage function checks the merge's verifier ran, one per
+          function per stage it was new or changed in (see
+          {!Quilt_ir.Verify.counts}). *)
+  verify_reused : int;  (** Per-stage function checks answered from the verifier's memo. *)
 }
 
 val merge_group :
@@ -55,14 +66,46 @@ val merge_group :
     passes — {!Quilt_ir.Pass_shiminline}, {!Quilt_ir.Pass_sccp},
     {!Quilt_ir.Pass_jumpthread}, {!Quilt_ir.Pass_livedce}; [false] is the
     before-arm of [bench/main.exe ir]'s analysis section.
-    Every stage's output is checked by the strict verifier
-    ({!Quilt_ir.Verify.run} with [~strict:true]); an [Error]-severity
-    finding fails the merge immediately, naming the stage.
+    Every stage's output is checked by the strict verifier, per changed
+    function ({!Quilt_ir.Verify.check}); an [Error]-severity finding fails
+    the merge immediately with the message
+    [Verify.check_exn ~strict:true ~stage] gives, naming the stage.
     Raises [Failure] if a member is unreachable from the root through
     member-internal edges (the subgraph would not be a connected rDAG). *)
 
 val entry_handler : string -> string
 (** Symbol of the merged module's entry point (the root's handler). *)
+
+(** {1 Stages}
+
+    {!merge_group} is {!run_stages} over {!stages}, with a
+    {!Quilt_ir.Verify.checker} as [check]. *)
+
+type stage = { name : string; rewrite : Quilt_ir.Ir.modul -> Quilt_ir.Ir.modul }
+(** [name] is the stage a verifier failure names: ["link"],
+    ["mergefunc:<callee>"] per callee in BFS order, ["delayhttp"], the
+    optimization passes ["shiminline"], ["sccp"], ["jumpthread"],
+    ["livedce"], then ["dce"], ["billing"] and ["final"]. *)
+
+val stages :
+  lookup:(string -> Quilt_lang.Ast.fn) ->
+  members:string list ->
+  root:string ->
+  ?edge_mode:(caller:string -> callee:string -> edge_mode) ->
+  ?billing:bool ->
+  ?optimize:bool ->
+  unit ->
+  Quilt_ir.Ir.modul * stage list
+(** The root's compiled module and the stages {!merge_group} applies to
+    it, in order, for the same arguments.  Each call compiles afresh. *)
+
+val run_stages :
+  check:(stage:string -> Quilt_ir.Ir.modul -> unit) ->
+  Quilt_ir.Ir.modul ->
+  stage list ->
+  Quilt_ir.Ir.modul
+(** Applies each stage in turn and calls [check ~stage:name] on its
+    output; the first exception [check] raises ends the run. *)
 
 (** {1 Content-addressed merge cache}
 

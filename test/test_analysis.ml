@@ -4,6 +4,7 @@
    and the merge-interference analyzer. *)
 
 open Quilt_ir
+module Rng = Quilt_util.Rng
 
 let parse = Parser.parse_module
 
@@ -546,6 +547,212 @@ entry:
   Alcotest.(check (list string)) "dead global dropped" [ "gused" ]
     (List.map (fun (g : Ir.global) -> g.Ir.gname) m'.Ir.globals)
 
+(* --- Incremental checking: Verify.checker = fresh strict verification ---
+
+   A checker reuses findings for functions it has seen (physically), so
+   the edits below leave most functions untouched on purpose: a callee's
+   new signature or a removed symbol must still reach the callers that
+   did not change. *)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+(* [None] when the module passes, else the failure message. *)
+let outcome f = match f () with () -> None | exception Failure msg -> Some msg
+
+let full_outcome ~stage m = outcome (fun () -> Verify.check_exn ~strict:true ~stage m)
+
+let check_agrees c ~stage m =
+  let full = full_outcome ~stage m in
+  let incremental = outcome (fun () -> Verify.check c ~stage m) in
+  Alcotest.(check (option string)) (stage ^ ": checker = full verification") full incremental;
+  full
+
+let resig_text =
+  {|
+module "resig"
+@msg = global i64 7
+define i64 @callee(i64 %x) {
+entry:
+  %y = add i64 %x, 1
+  ret i64 %y
+}
+define i64 @caller(i64 %n) {
+entry:
+  %v = load i64, ptr @msg
+  %r = call i64 @callee(i64 %n)
+  ret i64 %r
+}
+|}
+
+let test_checker_rechecks_untouched_callers () =
+  let m = parse resig_text in
+  let c = Verify.checker () in
+  Alcotest.(check (option string)) "clean module" None (check_agrees c ~stage:"clean" m);
+  let callee = func m "callee" in
+  (* Same body, one more parameter: @caller is physically untouched. *)
+  let wider = { callee with Ir.params = callee.Ir.params @ [ ("extra", Ir.I64) ] } in
+  let m' = Ir.replace_func m wider in
+  (match check_agrees c ~stage:"resig" m' with
+  | Some msg ->
+      Alcotest.(check bool) "V006 on the untouched caller" true
+        (contains msg "V006 error [caller")
+  | None -> Alcotest.fail "a callee's new arity went unnoticed");
+  let ret_changed = { callee with Ir.ret_ty = Ir.Ptr } in
+  ignore (check_agrees c ~stage:"ret" (Ir.replace_func m ret_changed));
+  (* Back to the original callee value: the caller's entry is re-resolved again. *)
+  Alcotest.(check (option string)) "restored" None (check_agrees c ~stage:"restored" m);
+  let no_global = { m with Ir.globals = [] } in
+  (match check_agrees c ~stage:"global" no_global with
+  | Some msg ->
+      Alcotest.(check bool) "V004 on the untouched caller" true
+        (contains msg "V004 error [caller")
+  | None -> Alcotest.fail "a removed global went unnoticed");
+  let dup = { m with Ir.funcs = m.Ir.funcs @ [ callee ] } in
+  (match check_agrees c ~stage:"dup" dup with
+  | Some msg -> Alcotest.(check bool) "V012" true (contains msg "V012")
+  | None -> Alcotest.fail "a duplicate symbol went unnoticed");
+  let checked, reused = Verify.counts c in
+  Alcotest.(check bool) "some findings were reused" true (reused > 0);
+  Alcotest.(check bool) "some functions were re-checked" true (checked > 2)
+
+(* Merged modules to edit: compose-post with every edge local, and with
+   every edge guarded (phis, split blocks, counters). *)
+module Pipeline = Quilt_merge.Pipeline
+module Workflow = Quilt_apps.Workflow
+
+let merged_bases =
+  lazy
+    (let wf =
+       List.find
+         (fun w -> w.Workflow.wf_name = "compose-post")
+         (Quilt_apps.Deathstar.all ~async:false ())
+     in
+     let merge mode =
+       (Pipeline.merge_group ~lookup:(Workflow.lookup wf) ~members:(Workflow.fn_names wf)
+          ~root:wf.Workflow.entry
+          ~edge_mode:(fun ~caller:_ ~callee:_ -> mode)
+          ())
+         .Pipeline.merged_module
+     in
+     [| merge Pipeline.Always_local; merge (Pipeline.Guarded 2) |])
+
+let called_names (m : Ir.modul) =
+  let out = ref [] in
+  Ir.iter_calls m (fun ~caller:_ i ->
+      match i with Ir.Call { callee; _ } -> out := callee :: !out | _ -> ());
+  List.sort_uniq compare !out
+
+let referenced_globals (m : Ir.modul) =
+  List.filter
+    (fun (g : Ir.global) ->
+      List.exists
+        (fun (f : Ir.func) ->
+          List.exists
+            (fun (b : Ir.block) ->
+              List.exists
+                (fun i ->
+                  List.mem (Ir.Const (Ir.Cglobal g.Ir.gname)) (Analysis.instr_operands i))
+                b.Ir.instrs)
+            f.Ir.blocks)
+        m.Ir.funcs)
+    m.Ir.globals
+
+(* One mutated copy of a definition: an identical copy (a new value with
+   the same findings), a dropped instruction, an operand naming an
+   undefined local, a branch to a missing label, or an f64 binop. *)
+let mutate rng (f : Ir.func) =
+  let map_block k fn =
+    { f with Ir.blocks = List.mapi (fun j b -> if j = k then fn b else b) f.Ir.blocks }
+  in
+  let k = Rng.int rng (List.length f.Ir.blocks) in
+  match Rng.int rng 5 with
+  | 0 -> { f with Ir.fname = f.Ir.fname }
+  | 1 ->
+      map_block k (fun b ->
+          match b.Ir.instrs with [] -> b | _ :: tl -> { b with Ir.instrs = tl })
+  | 2 ->
+      let use_undefined =
+        Ir.Gep { dst = "mut.g"; base = Ir.Local "mut.none"; offset = Ir.Const (Ir.Cint (Ir.I64, 0L)) }
+      in
+      map_block k (fun b -> { b with Ir.instrs = b.Ir.instrs @ [ use_undefined ] })
+  | 3 -> map_block k (fun b -> { b with Ir.term = Ir.Br "mut.nowhere" })
+  | _ ->
+      map_block k (fun b ->
+          {
+            b with
+            Ir.instrs =
+              Ir.Binop
+                {
+                  dst = "mut.f";
+                  op = Ir.Add;
+                  ty = Ir.F64;
+                  lhs = Ir.Const (Ir.Cint (Ir.I64, 1L));
+                  rhs = Ir.Const (Ir.Cfloat 2.0);
+                }
+              :: b.Ir.instrs;
+          })
+
+let pick_opt rng = function [] -> None | l -> Some (Rng.pick rng l)
+
+(* One random edit; the module is returned unchanged when the edit has
+   nothing to act on. *)
+let edit rng (m : Ir.modul) =
+  let defs = List.filter (fun f -> not (Ir.is_declaration f)) m.Ir.funcs in
+  let called = List.filter (fun (f : Ir.func) -> List.mem f.Ir.fname (called_names m)) m.Ir.funcs in
+  match Rng.int rng 6 with
+  | 0 -> (
+      match pick_opt rng defs with Some f -> Ir.replace_func m (mutate rng f) | None -> m)
+  | 1 -> (
+      (* A callee's signature changes; its callers stay physically. *)
+      match pick_opt rng called with
+      | Some f ->
+          let f' =
+            match Rng.int rng 3 with
+            | 0 -> { f with Ir.params = f.Ir.params @ [ ("mut.extra", Ir.I64) ] }
+            | 1 -> { f with Ir.params = List.map (fun (p, _) -> (p, Ir.F64)) f.Ir.params }
+            | _ -> { f with Ir.ret_ty = (if f.Ir.ret_ty = Ir.I64 then Ir.Ptr else Ir.I64) }
+          in
+          Ir.replace_func m f'
+      | None -> m)
+  | 2 -> (
+      match pick_opt rng called with Some f -> Ir.remove_func m f.Ir.fname | None -> m)
+  | 3 -> (
+      match pick_opt rng (referenced_globals m) with
+      | Some g -> { m with Ir.globals = List.filter (fun g' -> g' != g) m.Ir.globals }
+      | None -> m)
+  | 4 -> (
+      match pick_opt rng m.Ir.funcs with
+      | Some f -> { m with Ir.funcs = m.Ir.funcs @ [ f ] }
+      | None -> m)
+  | _ -> (
+      match m.Ir.globals with
+      | g :: _ -> { m with Ir.globals = m.Ir.globals @ [ g ] }
+      | [] -> m)
+
+let prop_checker_matches_full =
+  QCheck.Test.make ~name:"checker = fresh strict verify under random edits" ~count:60
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let bases = Lazy.force merged_bases in
+      let m = ref bases.(Rng.int rng (Array.length bases)) in
+      let c = Verify.checker () in
+      let show = Option.value ~default:"passes" in
+      for step = 0 to 8 do
+        (* Now and then go back to the unedited module: old values return. *)
+        if step > 0 then m := if Rng.chance rng 0.15 then bases.(0) else edit rng !m;
+        let stage = Printf.sprintf "edit%d" step in
+        let full = full_outcome ~stage !m in
+        let incremental = outcome (fun () -> Verify.check c ~stage !m) in
+        if incremental <> full then
+          QCheck.Test.fail_reportf "step %d: checker %s, full verification %s" step
+            (show incremental) (show full)
+      done;
+      true)
+
 let suite =
   [
     ( "analysis.cfg",
@@ -571,6 +778,12 @@ let suite =
         Alcotest.test_case "V010 ret/return-type disagreement" `Quick test_v010_ret_mismatch;
         Alcotest.test_case "V013 void call binds a value" `Quick test_v013_void_call_dst;
         Alcotest.test_case "diagnostics carry fn+block" `Quick test_diagnostics_carry_block;
+      ] );
+    ( "analysis.incremental",
+      [
+        Alcotest.test_case "checker re-resolves untouched callers" `Quick
+          test_checker_rechecks_untouched_callers;
+        QCheck_alcotest.to_alcotest prop_checker_matches_full;
       ] );
     ( "analysis.interference",
       [

@@ -586,6 +586,165 @@ let test_cache_disabled_bypasses () =
       let out2, _ = run_merged r2 ~root:"middle" ~req:"{\"x\":5}" ~host:Interp.null_host in
       Alcotest.(check string) "identical results either way" out1 out2)
 
+(* --- Incremental strict verification ---
+
+   One Verify.checker follows a merge from stage to stage and re-checks
+   only the functions a stage changed.  The contract: every stage fails
+   exactly when full re-verification would, with the same stage-named
+   message, and passes return what they did not rewrite physically. *)
+module Verify = Quilt_ir.Verify
+module Analysis = Quilt_ir.Analysis
+
+let compose_post = lazy (deathstar_workflow ~async:false "compose-post")
+
+let compose_post_stages () =
+  let wf = Lazy.force compose_post in
+  Pipeline.stages ~lookup:(Workflow.lookup wf) ~members:(Workflow.fn_names wf)
+    ~root:wf.Workflow.entry ()
+
+let test_verifier_counts () =
+  let wf = Lazy.force compose_post in
+  Pipeline.reset_cache ();
+  let r =
+    Pipeline.merge_group ~lookup:(Workflow.lookup wf) ~members:(Workflow.fn_names wf)
+      ~root:wf.Workflow.entry ()
+  in
+  (* 18 stages see 616 functions in all.  Checked: the 24 linked ones, the
+     shims and rewritten callers of each MergeFunc stage, and what
+     DelayHTTP, shim inlining and SCCP rewrite; everything else is reused. *)
+  Alcotest.(check (pair int int)) "(checked, reused)" (96, 520)
+    (r.Pipeline.verify_checked, r.Pipeline.verify_reused)
+
+let references_global (m : Ir.modul) name =
+  List.exists
+    (fun (f : Ir.func) ->
+      List.exists
+        (fun (b : Ir.block) ->
+          List.exists
+            (fun i -> List.mem (Ir.Const (Ir.Cglobal name)) (Analysis.instr_operands i))
+            b.Ir.instrs)
+        f.Ir.blocks)
+    m.Ir.funcs
+
+let is_called (m : Ir.modul) name =
+  let called = ref false in
+  Ir.iter_calls m (fun ~caller:_ i ->
+      match i with Ir.Call { callee; _ } when callee = name -> called := true | _ -> ());
+  !called
+
+(* Broken rewrites to append to a stage.  All but the root-body one leave
+   the functions they break physically untouched: only a callee, a global
+   or the symbol table changes under them. *)
+let injections =
+  [
+    ( "callee signature",
+      fun (m : Ir.modul) ->
+        match
+          List.find_opt
+            (fun (f : Ir.func) -> (not (Ir.is_declaration f)) && is_called m f.Ir.fname)
+            m.Ir.funcs
+        with
+        | Some f -> Ir.replace_func m { f with Ir.params = f.Ir.params @ [ ("inj", Ir.I64) ] }
+        | None -> m );
+    ( "root body",
+      fun m ->
+        let root = Pipeline.entry_handler "compose-post" in
+        match Ir.find_func m root with
+        | Some ({ Ir.blocks = entry :: rest; _ } as f) ->
+            let zero = Ir.Const (Ir.Cint (Ir.I64, 0L)) in
+            let bad = Ir.Gep { dst = "inj"; base = Ir.Local "inj.none"; offset = zero } in
+            let entry = { entry with Ir.instrs = bad :: entry.Ir.instrs } in
+            Ir.replace_func m { f with Ir.blocks = entry :: rest }
+        | Some _ | None -> m );
+    ( "removed global",
+      fun m ->
+        match List.find_opt (fun (g : Ir.global) -> references_global m g.Ir.gname) m.Ir.globals with
+        | Some g -> { m with Ir.globals = List.filter (fun g' -> g' != g) m.Ir.globals }
+        | None -> m );
+    ("duplicate symbol", fun m -> { m with Ir.funcs = m.Ir.funcs @ [ List.hd m.Ir.funcs ] });
+  ]
+
+let test_stage_injection () =
+  let m0, stages = compose_post_stages () in
+  let outcome check stages =
+    match Pipeline.run_stages ~check m0 stages with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  let full ~stage m = Verify.check_exn ~strict:true ~stage m in
+  Alcotest.(check (option string)) "unbroken stages pass" None
+    (outcome (Verify.check (Verify.checker ())) stages);
+  List.iteri
+    (fun k (s : Pipeline.stage) ->
+      List.iter
+        (fun (what, break) ->
+          let broken =
+            List.mapi
+              (fun j (t : Pipeline.stage) ->
+                if j = k then { t with Pipeline.rewrite = (fun m -> break (t.Pipeline.rewrite m)) }
+                else t)
+              stages
+          in
+          let label = s.Pipeline.name ^ " + " ^ what in
+          let expected = outcome full broken in
+          Alcotest.(check (option string)) label expected
+            (outcome (Verify.check (Verify.checker ())) broken);
+          match expected with
+          | Some msg ->
+              let prefix = "Verify[" ^ s.Pipeline.name ^ "]: " in
+              Alcotest.(check string) (label ^ ": names the stage") prefix
+                (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+          | None -> Alcotest.failf "%s: the injection broke nothing" label)
+        injections)
+    stages
+
+(* A call site of [service] in [f]: how MergeFunc finds what to rewrite. *)
+let has_site (m : Ir.modul) ~service (f : Ir.func) =
+  List.exists
+    (fun (b : Ir.block) ->
+      List.exists
+        (fun i ->
+          match i with
+          | Ir.Call { callee; args = (_, Ir.Const (Ir.Cglobal g)) :: _; _ } ->
+              (Filename.check_suffix callee "_sync_inv" || Filename.check_suffix callee "_async_inv")
+              && Ir.string_global m g = Some service
+          | _ -> false)
+        b.Ir.instrs)
+    f.Ir.blocks
+
+let test_passes_share_untouched () =
+  let m0, stages = compose_post_stages () in
+  let prefix = "mergefunc:" in
+  let all_shared what (a : Ir.modul) (b : Ir.modul) =
+    Alcotest.(check bool) (what ^ " returns every function physically") true
+      (List.length a.Ir.funcs = List.length b.Ir.funcs && List.for_all2 ( == ) a.Ir.funcs b.Ir.funcs)
+  in
+  let final =
+    List.fold_left
+      (fun m (s : Pipeline.stage) ->
+        let m' = s.Pipeline.rewrite m in
+        let name = s.Pipeline.name in
+        if String.starts_with ~prefix name then begin
+          let service = String.sub name (String.length prefix) (String.length name - String.length prefix) in
+          List.iter
+            (fun (f : Ir.func) ->
+              match Ir.find_func m f.Ir.fname with
+              | Some g ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: @%s rewritten iff it calls the service" name f.Ir.fname)
+                    (has_site m ~service g) (f != g)
+              | None -> () (* a new shim *))
+            m'.Ir.funcs
+        end;
+        if name = "sccp" then begin
+          all_shared "jumpthread after sccp" m' (Quilt_ir.Pass_jumpthread.run m');
+          all_shared "livedce after sccp" m' (Quilt_ir.Pass_livedce.run m')
+        end;
+        m')
+      m0 stages
+  in
+  Alcotest.(check bool) "ran to the end" true (final.Ir.funcs <> [])
+
 let suite =
   [
     ( "merge.pipeline",
@@ -625,6 +784,12 @@ let suite =
         Alcotest.test_case "miss on changed source" `Quick test_cache_miss_on_changed_source;
         Alcotest.test_case "keyed by edge mode" `Quick test_cache_keyed_by_edge_mode;
         Alcotest.test_case "disabled bypasses" `Quick test_cache_disabled_bypasses;
+      ] );
+    ( "merge.verify",
+      [
+        Alcotest.test_case "checked/reused counts (compose-post)" `Quick test_verifier_counts;
+        Alcotest.test_case "injected breaks name their stage" `Quick test_stage_injection;
+        Alcotest.test_case "passes share untouched functions" `Quick test_passes_share_untouched;
       ] );
     ( "merge.sizes",
       [
