@@ -44,4 +44,6 @@ val graph : t -> (Quilt_dag.Callgraph.t, string) result
 
 val invocations_in_window : t -> int
 (** Client→entry spans inside the current window (the N the graph would
-    be built with); 0 when the window is empty. *)
+    be built with); 0 when the window is empty.  Counted on the store's
+    span columns ({!Quilt_tracing.Trace.count_roots}); no span list is
+    built. *)

@@ -19,13 +19,12 @@ let to_trace ?(since = neg_infinity) r =
   in
   List.iter
     (fun (s : Recorder.span) ->
-      Trace.record_span st
-        {
-          Trace.ts = s.Recorder.sp_send;
-          caller = s.Recorder.sp_caller;
-          callee = s.Recorder.sp_fn;
-          kind = (if s.Recorder.sp_async then Trace.Async else Trace.Sync);
-        })
+      let ts = s.Recorder.sp_send and callee = s.Recorder.sp_fn in
+      match s.Recorder.sp_caller with
+      | None -> Trace.record_root st ~ts ~callee
+      | Some caller ->
+          Trace.record_call st ~ts ~caller ~callee
+            ~kind:(if s.Recorder.sp_async then Trace.Async else Trace.Sync))
     by_send;
   List.iter
     (fun (s : Recorder.span) ->
@@ -41,15 +40,8 @@ let to_trace ?(since = neg_infinity) r =
       c.cum_cpu <- c.cum_cpu +. s.Recorder.sp_cpu_us;
       c.cum_inv <- c.cum_inv + 1;
       c.peak <- Float.max c.peak s.Recorder.sp_mem_mb;
-      Trace.record_resource st
-        {
-          Trace.rs_ts = s.Recorder.sp_end;
-          container = s.Recorder.sp_cid;
-          fn = s.Recorder.sp_fn;
-          cpu_us_cum = c.cum_cpu;
-          mem_mb = c.peak;
-          invocations_cum = c.cum_inv;
-        })
+      Trace.record_sample st ~ts:s.Recorder.sp_end ~fn:s.Recorder.sp_fn ~container:s.Recorder.sp_cid
+        ~cpu_us_cum:c.cum_cpu ~mem_mb:c.peak ~invocations_cum:c.cum_inv)
     spans;
   st
 

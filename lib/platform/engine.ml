@@ -727,9 +727,10 @@ let call_decision dep tctx ~caller ~callee =
   | Container_merge { member_base_mem; _ } ->
       if Hashtbl.mem dep.members_tbl callee then `Cm_local (member_base_mem callee) else `Remote
 
-let record_span sim ~caller ~callee ~kind =
-  if sim.profiling then
-    Trace.record_span sim.store { Trace.ts = sim.now_; caller; callee; kind }
+let record_root sim ~callee = if sim.profiling then Trace.record_root sim.store ~ts:sim.now_ ~callee
+
+let record_call sim ~caller ~callee ~kind =
+  if sim.profiling then Trace.record_call sim.store ~ts:sim.now_ ~caller ~callee ~kind
 
 let record_resources sim c ~fn =
   if sim.profiling then begin
@@ -747,15 +748,8 @@ let record_resources sim c ~fn =
     let base = c.cspec.base_mem_mb in
     let workspace = Float.max 0.0 (c.mem_in_use -. base) in
     let per_instance = 1.0 +. (workspace /. float_of_int (max 1 c.n_tasks)) in
-    Trace.record_resource sim.store
-      {
-        Trace.rs_ts = sim.now_;
-        container = c.cid;
-        fn;
-        cpu_us_cum = c.cpu_used_us;
-        mem_mb = per_instance;
-        invocations_cum = c.invocations;
-      }
+    Trace.record_sample sim.store ~ts:sim.now_ ~fn ~container:c.cid ~cpu_us_cum:c.cpu_used_us
+      ~mem_mb:per_instance ~invocations_cum:c.invocations
   end
 
 (* Merged and CM containers run several functions in one process, so the
@@ -779,15 +773,8 @@ let record_monitor sim c (node : Calltree.node) =
     cell.m_cpu <- cell.m_cpu +. node.Calltree.own_cpu_us;
     cell.m_inv <- cell.m_inv + 1;
     cell.m_peak <- Float.max cell.m_peak (1.0 +. node.Calltree.own_mem_mb);
-    Trace.record_resource sim.store
-      {
-        Trace.rs_ts = sim.now_;
-        container = c.cid;
-        fn = node.Calltree.fn;
-        cpu_us_cum = cell.m_cpu;
-        mem_mb = cell.m_peak;
-        invocations_cum = cell.m_inv;
-      }
+    Trace.record_sample sim.store ~ts:sim.now_ ~fn:node.Calltree.fn ~container:c.cid
+      ~cpu_us_cum:cell.m_cpu ~mem_mb:cell.m_peak ~invocations_cum:cell.m_inv
   end
 
 (* Completion record for one traced remote task — the whole handler
@@ -879,7 +866,7 @@ let rec exec_node sim dep c tctx (node : Calltree.node) (k_done : bool -> unit) 
               match call_decision dep tctx ~caller:node.Calltree.fn ~callee:child.Calltree.fn, kind, future with
               | `Local, Trace.Sync, _ ->
                   sim.c_local <- sim.c_local + 1;
-                  record_span sim ~caller:(Some node.Calltree.fn) ~callee:child.Calltree.fn ~kind;
+                  record_call sim ~caller:node.Calltree.fn ~callee:child.Calltree.fn ~kind;
                   (* In-process call: sub-microsecond. *)
                   exec_node sim dep c tctx child
                     (obs_local child false (fun ok ->
@@ -887,7 +874,7 @@ let rec exec_node sim dep c tctx (node : Calltree.node) (k_done : bool -> unit) 
                          guarded_continue ok))
               | `Local, Trace.Async, Some fid ->
                   sim.c_local <- sim.c_local + 1;
-                  record_span sim ~caller:(Some node.Calltree.fn) ~callee:child.Calltree.fn ~kind;
+                  record_call sim ~caller:node.Calltree.fn ~callee:child.Calltree.fn ~kind;
                   Hashtbl.replace (futures_tbl ()) fid (`Pending (ref None));
                   exec_node sim dep c tctx child
                     (obs_local child true (fun ok ->
@@ -896,10 +883,10 @@ let rec exec_node sim dep c tctx (node : Calltree.node) (k_done : bool -> unit) 
                   continue ()
               | `Local, Trace.Async, None -> failwith "Engine: async call without future id"
               | `Cm_local base, Trace.Sync, _ ->
-                  record_span sim ~caller:(Some node.Calltree.fn) ~callee:child.Calltree.fn ~kind;
+                  record_call sim ~caller:node.Calltree.fn ~callee:child.Calltree.fn ~kind;
                   cm_exec sim dep c tctx child base (obs_local child false guarded_continue)
               | `Cm_local base, Trace.Async, Some fid ->
-                  record_span sim ~caller:(Some node.Calltree.fn) ~callee:child.Calltree.fn ~kind;
+                  record_call sim ~caller:node.Calltree.fn ~callee:child.Calltree.fn ~kind;
                   Hashtbl.replace (futures_tbl ()) fid (`Pending (ref None));
                   cm_exec sim dep c tctx child base
                     (obs_local child true (fun ok -> resolve_future fid ok));
@@ -938,7 +925,9 @@ and cm_exec sim dep c tctx child base_mem k =
 
 and remote_invoke sim ~caller ~kind ~orid (child : Calltree.node) k =
   sim.c_remote <- sim.c_remote + 1;
-  record_span sim ~caller ~callee:child.Calltree.fn ~kind;
+  (match caller with
+  | Some caller -> record_call sim ~caller ~callee:child.Calltree.fn ~kind
+  | None -> record_root sim ~callee:child.Calltree.fn);
   let obs =
     if orid >= 0 then
       Some
@@ -1160,7 +1149,7 @@ let rec fire_hooks hs ~entry ~latency_us ~ok =
 let submit sim ~entry ~req ~on_done =
   let t0 = sim.now_ in
   let node = calltree sim ~entry ~req in
-  record_span sim ~caller:None ~callee:entry ~kind:Trace.Sync;
+  record_root sim ~callee:entry;
   sim.next_rid <- sim.next_rid + 1;
   (* Head sampling: the sink decides once per root request; the verdict
      propagates down the chain via [obs]/[tctx.t_orid]. *)

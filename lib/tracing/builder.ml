@@ -1,56 +1,44 @@
 module Callgraph = Quilt_dag.Callgraph
 
 let build (st : Trace.store) ~entry ?(window_start = neg_infinity) () =
-  let spans = Trace.spans st ~since:window_start () in
-  let n_invocations =
-    List.length (List.filter (fun (s : Trace.span) -> s.Trace.caller = None && s.Trace.callee = entry) spans)
+  (* One pass over the windowed spans: count the root invocations, number
+     the vertices in first-seen order (entry first, then caller before
+     callee), and count edges in a dense id × id table whose cells hold
+     count × 2 + an async bit.  An edge observed with both kinds is
+     asynchronous. *)
+  let n = Trace.fn_count st and entry_id = Trace.fn_id st entry in
+  let vertex = Array.make n (-1) and fn_of_vertex = Array.make n 0 and n_vertices = ref 0 in
+  let note f =
+    if vertex.(f) < 0 then begin
+      vertex.(f) <- !n_vertices;
+      fn_of_vertex.(!n_vertices) <- f;
+      incr n_vertices
+    end
   in
-  if n_invocations = 0 then Error (Printf.sprintf "no invocations of %s in the window" entry)
+  if entry_id >= 0 then note entry_id;
+  let cells = Array.make (n * n) 0 and n_invocations = ref 0 in
+  Trace.iter_spans st ~since:window_start (fun caller code ->
+      let callee = code lsr 1 in
+      if caller < 0 then (if callee = entry_id then incr n_invocations)
+      else begin
+        note caller;
+        let i = (caller * n) + callee in
+        cells.(i) <- (cells.(i) + 2) lor (code land 1)
+      end;
+      note callee);
+  if !n_invocations = 0 then Error (Printf.sprintf "no invocations of %s in the window" entry)
   else begin
-    (* Vertex discovery: entry first, then every function seen. *)
-    let names = ref [ entry ] in
-    let note n = if not (List.mem n !names) then names := !names @ [ n ] in
-    List.iter
-      (fun (s : Trace.span) ->
-        (match s.Trace.caller with Some c -> note c | None -> ());
-        note s.Trace.callee)
-      spans;
-    let names = !names in
-    let index = Hashtbl.create 16 in
-    List.iteri (fun i n -> Hashtbl.replace index n i) names;
-    (* Edge counting. *)
-    let edges = Hashtbl.create 16 in
-    List.iter
-      (fun (s : Trace.span) ->
-        match s.Trace.caller with
-        | None -> ()
-        | Some c ->
-            let key = (c, s.Trace.callee) in
-            let count, asyncs =
-              match Hashtbl.find_opt edges key with Some (n, a) -> (n, a) | None -> (0, false)
-            in
-            Hashtbl.replace edges key (count + 1, asyncs || s.Trace.kind = Trace.Async))
-      spans;
     (* Resources per function: average CPU per invocation, peak memory,
-       aggregated across that function's containers (§3). *)
-    let resources fn =
-      let samples = Trace.resource_samples st ~fn in
-      let samples = List.filter (fun (r : Trace.resource_sample) -> r.Trace.rs_ts >= window_start) samples in
-      match samples with
+       aggregated across that function's containers (§3).  Cumulative
+       counters: take per-container maxima and sum.  The sum runs in
+       [Hashtbl.iter] order over a table filled once per container in
+       first-seen order, which fixes the float summation order. *)
+    let resources f =
+      match Trace.container_maxima st f ~since:window_start with
       | [] -> (1.0, 1.0)
-      | _ ->
-          (* Cumulative counters: take per-container maxima and sum. *)
+      | maxima ->
           let by_container = Hashtbl.create 8 in
-          List.iter
-            (fun (r : Trace.resource_sample) ->
-              let cpu, inv, mem =
-                match Hashtbl.find_opt by_container r.Trace.container with
-                | Some (c, i, m) -> (c, i, m)
-                | None -> (0.0, 0, 0.0)
-              in
-              Hashtbl.replace by_container r.Trace.container
-                (Float.max cpu r.Trace.cpu_us_cum, max inv r.Trace.invocations_cum, Float.max mem r.Trace.mem_mb))
-            samples;
+          List.iter (fun (cid, cpu, inv, mem) -> Hashtbl.replace by_container cid (cpu, inv, mem)) maxima;
           let total_cpu = ref 0.0 and total_inv = ref 0 and peak_mem = ref 0.0 in
           Hashtbl.iter
             (fun _ (cpu, inv, mem) ->
@@ -62,33 +50,28 @@ let build (st : Trace.store) ~entry ?(window_start = neg_infinity) () =
           (Float.max 0.01 avg_cpu_ms, Float.max 0.5 !peak_mem)
     in
     let nodes =
-      Array.of_list
-        (List.mapi
-           (fun i name ->
-             let cpu, mem = resources name in
-             { Callgraph.id = i; name; mem_mb = mem; cpu; mergeable = true })
-           names)
+      Array.init !n_vertices (fun i ->
+          let f = fn_of_vertex.(i) in
+          let cpu, mem = resources f in
+          { Callgraph.id = i; name = Trace.fn_name st f; mem_mb = mem; cpu; mergeable = true })
     in
-    let edge_list =
-      Hashtbl.fold
-        (fun (c, d) (count, asyncs) acc ->
-          {
-            Callgraph.src = Hashtbl.find index c;
-            dst = Hashtbl.find index d;
-            weight = count;
-            kind = (if asyncs then Callgraph.Async else Callgraph.Sync);
-          }
-          :: acc)
-        edges []
-    in
-    (* Deterministic order for reproducibility. *)
-    let edge_list =
-      List.sort (fun a b -> compare (a.Callgraph.src, a.Callgraph.dst) (b.Callgraph.src, b.Callgraph.dst)) edge_list
-    in
-    match
-      Callgraph.make ~nodes ~edges:edge_list ~root:(Hashtbl.find index entry)
-        ~invocations:n_invocations
-    with
+    (* Edges sorted by (src, dst), for reproducibility. *)
+    let edges = ref [] in
+    for src = !n_vertices - 1 downto 0 do
+      for dst = !n_vertices - 1 downto 0 do
+        let cell = cells.((fn_of_vertex.(src) * n) + fn_of_vertex.(dst)) in
+        if cell > 1 then
+          edges :=
+            {
+              Callgraph.src;
+              dst;
+              weight = cell lsr 1;
+              kind = (if cell land 1 = 1 then Callgraph.Async else Callgraph.Sync);
+            }
+            :: !edges
+      done
+    done;
+    match Callgraph.make ~nodes ~edges:!edges ~root:0 ~invocations:!n_invocations with
     | g -> Ok g
     | exception Invalid_argument msg -> Error msg
   end

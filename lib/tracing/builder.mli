@@ -4,7 +4,14 @@
     client→entry spans, and labels vertices with resources aggregated over
     every container of the function: average CPU per invocation and peak
     memory.  An edge observed with both kinds is counted as asynchronous
-    (the conservative choice for the memory constraint). *)
+    (the conservative choice for the memory constraint).
+
+    One pass over the window's span columns counts N, numbers the vertices
+    in first-seen order (entry first) and counts the edges in a dense
+    function × function table; each vertex's resources then come from one
+    pass over its own sample columns.  Cost: O(spans + samples in the
+    window), plus O(F²) for the table over the F functions the store has
+    seen. *)
 
 val build :
   Trace.store ->

@@ -17,31 +17,16 @@ module Detector = Quilt_control.Detector
 module Canary = Quilt_control.Canary
 module Controller = Quilt_control.Controller
 module Scenario = Quilt_control.Scenario
+module Window = Quilt_control.Window
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 
 (* ---- eviction vs windowed call graphs ---- *)
 
-(* A graph summary that ignores node-id numbering (eviction must not change
-   what the builder sees, but ids depend on discovery order). *)
-let graph_summary (g : Callgraph.t) =
-  let name i = (Callgraph.node g i).Callgraph.name in
-  let nodes =
-    Array.to_list g.Callgraph.nodes
-    |> List.map (fun (n : Callgraph.node) -> (n.Callgraph.name, n.Callgraph.cpu, n.Callgraph.mem_mb))
-    |> List.sort compare
-  in
-  let edges =
-    List.map
-      (fun (e : Callgraph.edge) -> (name e.Callgraph.src, name e.Callgraph.dst, e.Callgraph.weight))
-      g.Callgraph.edges
-    |> List.sort compare
-  in
-  (g.Callgraph.invocations, nodes, edges)
-
-let test_evict_preserves_windowed_graph () =
-  let wf = Special.routed () in
+(* Traffic on the routed workflow with profiling on; returns the engine
+   and the time the traffic started. *)
+let profiled_routed_run wf =
   let engine = Quilt.fresh_platform ~seed:7 ~workflows:[ wf ] () in
   Engine.set_profiling engine true;
   let t0 = Engine.now engine in
@@ -49,24 +34,65 @@ let test_evict_preserves_windowed_graph () =
     Loadgen.run_open_loop engine ~entry:wf.Workflow.entry ~gen_req:wf.Workflow.gen_req
       ~rate_rps:25.0 ~duration_us:12_000_000.0 ~warmup_us:0.0 ()
   in
+  (engine, t0)
+
+(* Marshal without sharing: equal bytes mean equal graphs (node ids and
+   every float included) or equal error text. *)
+let bytes x = Marshal.to_string x [ Marshal.No_sharing ]
+
+let test_evict_preserves_windowed_graph () =
+  let wf = Special.routed () in
+  let engine, t0 = profiled_routed_run wf in
   let st = Engine.tracing engine in
-  (* The drain grace runs the clock past the traffic, so anchor the window
-     inside the traffic interval: its second half. *)
-  let window_start = t0 +. 6_000_000.0 in
-  let build () =
-    match Builder.build st ~entry:wf.Workflow.entry ~window_start () with
-    | Ok g -> graph_summary (Builder.known_calls ~code_edges:wf.Workflow.code_edges g)
-    | Error e -> Alcotest.fail e
+  let build window_start =
+    Result.map
+      (Builder.known_calls ~code_edges:wf.Workflow.code_edges)
+      (Builder.build st ~entry:wf.Workflow.entry ~window_start ())
   in
-  let before = build () in
+  (* Random cuts over the traffic and into the drain after it (whose
+     windows hold no invocation), in increasing order, so each eviction
+     extends the previous one.  Every reference graph is built first, from
+     the full store. *)
+  let rng = Rng.create 11 in
+  let cuts = List.sort compare (List.init 12 (fun _ -> t0 +. Rng.float rng 14_000_000.0)) in
+  let full = List.map (fun t -> (t, build t)) cuts in
   let spans_before = Trace.span_count st in
-  Trace.evict_before st window_start;
-  let after = build () in
+  List.iter
+    (fun (t, want) ->
+      Trace.evict_before st t;
+      checkb (Printf.sprintf "graph over [%.0f, now] after eviction" t) true (bytes (build t) = bytes want))
+    full;
   checkb "eviction dropped spans" true (Trace.span_count st < spans_before);
-  let n_b, nodes_b, edges_b = before and n_a, nodes_a, edges_a = after in
-  check Alcotest.int "same N" n_b n_a;
-  checkb "same nodes" true (nodes_b = nodes_a);
-  checkb "same edges" true (edges_b = edges_a)
+  checkb "some cut kept a graph" true
+    (List.exists (fun (_, g) -> Result.is_ok g) full)
+
+(* The window's invocation count, taken on the store's columns, equals the
+   count of client spans into the entry in the windowed span list. *)
+let test_window_invocations_match_span_list () =
+  let wf = Special.routed () in
+  let engine, t0 = profiled_routed_run wf in
+  let st = Engine.tracing engine in
+  let span_list_count w =
+    List.length
+      (List.filter
+         (fun (s : Trace.span) -> s.Trace.caller = None && s.Trace.callee = wf.Workflow.entry)
+         (Trace.spans st ~since:(Window.start_of w) ()))
+  in
+  let span = Engine.now engine -. t0 in
+  let counts =
+    List.concat_map
+      (fun frac ->
+        let w = Window.create engine ~workflow:wf ~window_us:(frac *. span) () in
+        let before = Window.invocations_in_window w in
+        check Alcotest.int "window count" (span_list_count w) before;
+        Window.set_floor w (t0 +. 8_000_000.0);
+        check Alcotest.int "after a floor" (span_list_count w) (Window.invocations_in_window w);
+        Window.advance w;
+        check Alcotest.int "after eviction" (span_list_count w) (Window.invocations_in_window w);
+        [ before ])
+      [ 2.0; 1.0; 0.9; 0.8; 0.5; 0.1 ]
+  in
+  checkb "some window holds invocations" true (List.exists (fun n -> n > 0) counts)
 
 (* ---- drift detection ---- *)
 
@@ -303,6 +329,8 @@ let suite =
       [
         Alcotest.test_case "evict_before preserves windowed graphs" `Quick
           test_evict_preserves_windowed_graph;
+        Alcotest.test_case "window invocations = span-list count" `Quick
+          test_window_invocations_match_span_list;
         Alcotest.test_case "drift: rate comparison catches a mix flip" `Quick
           test_drift_rate_catches_mix_flip;
         Alcotest.test_case "drift: identical graphs are quiet" `Quick

@@ -441,9 +441,9 @@ let test_degenerate_cluster_matches_seed () =
 
 let test_builder_async_edge_kind () =
   let store = Trace.create () in
-  Trace.record_span store { Trace.ts = 0.0; caller = None; callee = "root"; kind = Trace.Sync };
-  Trace.record_span store { Trace.ts = 1.0; caller = Some "root"; callee = "w"; kind = Trace.Async };
-  Trace.record_span store { Trace.ts = 2.0; caller = Some "root"; callee = "w"; kind = Trace.Async };
+  Trace.record_root store ~ts:0.0 ~callee:"root";
+  Trace.record_call store ~ts:1.0 ~caller:"root" ~callee:"w" ~kind:Trace.Async;
+  Trace.record_call store ~ts:2.0 ~caller:"root" ~callee:"w" ~kind:Trace.Async;
   match Builder.build store ~entry:"root" () with
   | Error e -> Alcotest.fail e
   | Ok g ->
@@ -457,10 +457,10 @@ let test_builder_async_edge_kind () =
 
 let test_builder_window_filter () =
   let store = Trace.create () in
-  Trace.record_span store { Trace.ts = 0.0; caller = None; callee = "root"; kind = Trace.Sync };
-  Trace.record_span store { Trace.ts = 5.0; caller = Some "root"; callee = "old"; kind = Trace.Sync };
-  Trace.record_span store { Trace.ts = 100.0; caller = None; callee = "root"; kind = Trace.Sync };
-  Trace.record_span store { Trace.ts = 105.0; caller = Some "root"; callee = "new"; kind = Trace.Sync };
+  Trace.record_root store ~ts:0.0 ~callee:"root";
+  Trace.record_call store ~ts:5.0 ~caller:"root" ~callee:"old" ~kind:Trace.Sync;
+  Trace.record_root store ~ts:100.0 ~callee:"root";
+  Trace.record_call store ~ts:105.0 ~caller:"root" ~callee:"new" ~kind:Trace.Sync;
   match Builder.build store ~entry:"root" ~window_start:50.0 () with
   | Error e -> Alcotest.fail e
   | Ok g ->
@@ -470,13 +470,13 @@ let test_builder_window_filter () =
 
 let test_builder_aggregates_containers () =
   let store = Trace.create () in
-  Trace.record_span store { Trace.ts = 0.0; caller = None; callee = "root"; kind = Trace.Sync };
+  Trace.record_root store ~ts:0.0 ~callee:"root";
   (* Two containers of the same function: cumulative CPU sums; memory takes
      the peak. *)
-  Trace.record_resource store
-    { Trace.rs_ts = 1.0; container = 1; fn = "root"; cpu_us_cum = 4_000.0; mem_mb = 12.0; invocations_cum = 2 };
-  Trace.record_resource store
-    { Trace.rs_ts = 2.0; container = 2; fn = "root"; cpu_us_cum = 2_000.0; mem_mb = 20.0; invocations_cum = 1 };
+  Trace.record_sample store ~ts:1.0 ~fn:"root" ~container:1
+    ~cpu_us_cum:4_000.0 ~mem_mb:12.0 ~invocations_cum:2;
+  Trace.record_sample store ~ts:2.0 ~fn:"root" ~container:2
+    ~cpu_us_cum:2_000.0 ~mem_mb:20.0 ~invocations_cum:1;
   match Builder.build store ~entry:"root" () with
   | Error e -> Alcotest.fail e
   | Ok g ->
@@ -493,9 +493,9 @@ let test_builder_requires_invocations () =
 
 let test_known_calls_adds_missing_edges () =
   let store = Trace.create () in
-  Trace.record_span store { Trace.ts = 0.0; caller = None; callee = "root"; kind = Trace.Sync };
-  Trace.record_span store { Trace.ts = 1.0; caller = Some "root"; callee = "seen"; kind = Trace.Sync };
-  Trace.record_span store { Trace.ts = 2.0; caller = Some "seen"; callee = "shared"; kind = Trace.Sync };
+  Trace.record_root store ~ts:0.0 ~callee:"root";
+  Trace.record_call store ~ts:1.0 ~caller:"root" ~callee:"seen" ~kind:Trace.Sync;
+  Trace.record_call store ~ts:2.0 ~caller:"seen" ~callee:"shared" ~kind:Trace.Sync;
   match Builder.build store ~entry:"root" () with
   | Error e -> Alcotest.fail e
   | Ok g ->

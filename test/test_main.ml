@@ -17,6 +17,7 @@ let () =
        Test_vm.suite;
        Test_sched.suite;
        Test_engine.suite;
+       Test_tracing.suite;
        Test_apps.suite;
        Test_control.suite;
        Test_fault.suite;
