@@ -2,8 +2,7 @@
    adaptive scenario is driven twice through the phased workload — once
    with the controller in the loop and once with the initial plan frozen —
    and the post-shift phase compares the two arms.  Writes every outcome
-   to BENCH_adaptive.json.  QUILT_BENCH_FAST=1 switches to the smoke-sized
-   phases. *)
+   to BENCH_adaptive.json.  `--smoke` switches to the smoke-sized phases. *)
 
 open Common
 module Scenario = Quilt_control.Scenario
@@ -11,10 +10,6 @@ module Controller = Quilt_control.Controller
 module Loadgen = Quilt_platform.Loadgen
 
 let json_file = "BENCH_adaptive.json"
-
-(* `bench/main.exe adaptive --smoke` — seconds, not minutes — without
-   having to set QUILT_BENCH_FAST for the whole harness. *)
-let smoke_flag = ref false
 
 let post_shift_p99 (o : Scenario.outcome) =
   match List.assoc_opt (Scenario.post_shift_phase o.Scenario.o_scenario)
@@ -38,7 +33,7 @@ let run () =
       "run as a closed loop: sliding-window profiling, drift detection with";
       "hysteresis, re-decision, rolling redeploy, canary + SLO watchdog.";
     ];
-  let smoke = fast || !smoke_flag in
+  let smoke = !fast in
   let outcomes =
     List.map
       (fun name ->
@@ -90,8 +85,5 @@ let run () =
             ] );
       ]
   in
-  let oc = open_out_bin json_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [outcomes recorded in %s]\n%!" json_file
+  let path = write_json json_file json in
+  Printf.printf "  [outcomes recorded in %s]\n%!" path

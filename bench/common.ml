@@ -8,12 +8,13 @@ module Quilt = Quilt_core.Quilt
 module Pool = Quilt_util.Pool
 module Json = Quilt_util.Json
 
-(* QUILT_BENCH_FAST=1 shrinks run durations and sweep densities so the whole
-   harness completes in well under a minute; default runs use the full
-   parameters recorded in EXPERIMENTS.md. *)
-let fast = Sys.getenv_opt "QUILT_BENCH_FAST" <> None
+(* `bench/main.exe --smoke` sets this: shorter runs and sparser sweeps, so
+   any section finishes in well under a minute, with its artifacts written
+   under [smoke_dir] instead of over the committed full-scale files.
+   Default runs use the full parameters recorded in EXPERIMENTS.md. *)
+let fast = ref false
 
-let scale x = if fast then x /. 4.0 else x
+let scale x = if !fast then x /. 4.0 else x
 
 (* `bench/main.exe --domains N` sets this; [None] means the machine's
    recommended domain count. *)
@@ -50,29 +51,46 @@ let latency_run engine ~entry ~gen_req ~duration_us =
     ~warmup_us:(Float.min (duration_us *. 0.25) 20_000_000.0)
     ()
 
+(* --- BENCH_*.json artifacts ---
+
+   Every artifact write goes through [write_json]: full-scale runs write
+   the repo-root file, smoke runs the same name under [smoke_dir]. *)
+let smoke_dir = Filename.concat "_build" "bench-smoke"
+
+let artifact_path file = if !fast then Filename.concat smoke_dir file else file
+
+let read_json path =
+  if not (Sys.file_exists path) then None
+  else
+    try
+      let ic = open_in_bin path in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Some (Json.of_string s)
+    with _ -> None
+
+let write_json file json =
+  let path = artifact_path file in
+  if !fast then
+    List.iter
+      (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+      [ Filename.dirname smoke_dir; smoke_dir ];
+  let oc = open_out_bin path in
+  output_string oc (Json.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  path
+
 (* Machine-readable timing log.  Each bench section that measures decision
    times dumps them here, keyed by section, as one top-level JSON object;
    re-running a section replaces only its own key. *)
-let bench_json_file = "BENCH_decision.json"
-
-let record_timings ?(file = bench_json_file) ~key entries =
+let record_timings ?(file = "BENCH_decision.json") ~key entries =
   let existing =
-    if Sys.file_exists file then
-      try
-        let ic = open_in_bin file in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        match Quilt_util.Json.of_string s with Json.Obj kvs -> kvs | _ -> []
-      with _ -> []
-    else []
+    match read_json (artifact_path file) with Some (Json.Obj kvs) -> kvs | Some _ | None -> []
   in
   let merged = List.filter (fun (k, _) -> k <> key) existing @ [ (key, Json.Obj entries) ] in
-  let oc = open_out_bin file in
-  output_string oc (Json.to_string (Json.Obj merged));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [timings recorded under %S in %s]\n%!" key file
+  let path = write_json file (Json.Obj merged) in
+  Printf.printf "  [timings recorded under %S in %s]\n%!" key path
 
 let optimize_or_fail cfg wf =
   match Quilt.optimize cfg ~workflows:[ wf ] wf with

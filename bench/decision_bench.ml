@@ -7,8 +7,6 @@
    - the shared-incumbent exact search vs the unpruned reference
      [Closure.solve_exact] on the n=200/seed-1200 instance, at 1/2/4/8
      domains, with bit-identity asserted row by row;
-   - warm-start incremental re-decision vs a from-scratch solve after a
-     single-group drift;
    - bechamel micro rows for the decision algorithms (promoted from the
      micro section).
 
@@ -19,7 +17,6 @@
 open Common
 module Gen = Quilt_dag.Gen
 module Callgraph = Quilt_dag.Callgraph
-module Drift = Quilt_dag.Drift
 module Types = Quilt_cluster.Types
 module Decision = Quilt_cluster.Decision
 module Closure = Quilt_cluster.Closure
@@ -27,9 +24,7 @@ module Dih = Quilt_cluster.Dih
 module Optimal = Quilt_cluster.Optimal
 module Rng = Quilt_util.Rng
 
-let smoke_flag = ref false
-
-let reps () = if fast || !smoke_flag then 1 else 3
+let reps () = if !fast then 1 else 3
 
 let graph_of n =
   let rng = Rng.create (1000 + n) in
@@ -53,12 +48,12 @@ let assert_identical ~what a b =
 (* --- Figure 8b sweep (promoted from bench/fig8.ml) --- *)
 
 let decision_time algorithm g lim =
-  median_time ~reps:(if fast then 1 else 3) (fun () -> ignore (Decision.solve algorithm g lim))
+  median_time ~reps:(reps ()) (fun () -> ignore (Decision.solve algorithm g lim))
 
 let sweep () =
   subsection "Figure 8b: time to find the grouping vs graph size";
   Printf.printf "  %-8s %14s %18s %18s\n" "|V|" "optimal" "weighted-degree" "downstream-impact";
-  let sizes = if fast then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
+  let sizes = if !fast then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
   (* Every size is an independent (seeded) instance, so the sweep fans out
      across domains; rows come back in input order and are printed after the
      join.  Solver outputs stay bit-identical to a sequential run — only the
@@ -149,7 +144,7 @@ let exact_instance g lim ~k =
 
 let domain_rows () =
   (* `bench/main.exe --domains N` narrows the domain sweep to {1, N}. *)
-  let base = if !smoke_flag then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
+  let base = if !fast then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   match !domains_override with
   | None -> base
   | Some d -> List.sort_uniq compare [ 1; d ]
@@ -157,7 +152,7 @@ let domain_rows () =
 let run_exact () =
   subsection "exact search: shared-incumbent B&B vs the unpruned reference";
   let g, lim0 = graph_of 200 in
-  let k = if !smoke_flag then 10 else 14 in
+  let k = if !fast then 10 else 14 in
   let roots, lim = exact_instance g lim0 ~k in
   Printf.printf "  n=200 rDAG (seed 1200), %d roots, limits %.0f vCPU·ms / %.0f MB\n"
     (List.length roots) lim.Types.max_cpu lim.Types.max_mem_mb;
@@ -191,7 +186,7 @@ let run_exact () =
           "shared-incumbent branch-and-bound (Closure.solve_exact_par) vs the unpruned \
            reference Closure.solve_exact on the n=200/seed-1200 rDAG; identical=true means \
            every row's solution was bit-identical to the reference");
-       ("smoke", Json.Bool !smoke_flag);
+       ("smoke", Json.Bool !fast);
        ("roots", Json.int (List.length roots));
        ("sequential_s", Json.Float t_seq);
        ("identical", Json.Bool true);
@@ -201,71 +196,6 @@ let run_exact () =
           ( Printf.sprintf "domains_%d" d,
             Json.Obj [ ("s", Json.Float t); ("speedup", Json.Float (t_seq /. t)) ] ))
         rows)
-
-(* --- warm-start incremental re-decision --- *)
-
-let run_redecision () =
-  subsection "incremental re-decision: warm-start splice vs from-scratch";
-  let g, lim = graph_of 200 in
-  let prev =
-    match Decision.auto ~domains:1 g lim with
-    | Some s -> s
-    | None -> failwith "decision bench: n=200 instance unexpectedly infeasible"
-  in
-  (* Drift one member of one multi-member group: scale its CPU demand past
-     the detector threshold.  Topology is untouched, so the incremental
-     path applies and everything outside that group splices through. *)
-  let victim =
-    let multi =
-      List.find
-        (fun (sg : Types.subgraph) ->
-          Array.fold_left (fun a b -> if b then a + 1 else a) 0 sg.Types.members >= 2)
-        prev.Types.subgraphs
-    in
-    let v = ref multi.Types.root in
-    Array.iteri (fun i b -> if b && i <> multi.Types.root then v := i) multi.Types.members;
-    !v
-  in
-  let g' =
-    let nodes =
-      Array.map
-        (fun (nd : Callgraph.node) ->
-          if nd.Callgraph.id = victim then { nd with Callgraph.cpu = nd.Callgraph.cpu *. 1.6 }
-          else nd)
-        g.Callgraph.nodes
-    in
-    Callgraph.make ~nodes ~edges:g.Callgraph.edges ~root:g.Callgraph.root
-      ~invocations:g.Callgraph.invocations
-  in
-  let report = Drift.detect ~threshold:0.3 g g' in
-  if Drift.topology_changed report then failwith "decision bench: drift report shows topology change";
-  Printf.printf "  drifted: %s\n" (String.concat ", " (Drift.touched_functions report));
-  let inc_ref = ref None in
-  let t_inc =
-    median_time ~reps:(max 3 (reps ())) (fun () ->
-        inc_ref :=
-          Decision.resolve_incremental ~prev_graph:g ~prev ~report g' lim)
-  in
-  (match !inc_ref with
-  | Some _ -> ()
-  | None -> failwith "decision bench: incremental re-decision unexpectedly declined");
-  let t_full =
-    median_time ~reps:(reps ()) (fun () -> ignore (Decision.auto ~domains:1 g' lim))
-  in
-  Printf.printf "  from-scratch %8.4fs   incremental %8.4fs   speedup %6.1fx\n" t_full t_inc
-    (t_full /. t_inc);
-  record_timings ~key:"redecision"
-    [
-      ("note",
-       Json.str
-         "re-decision after a single-group resource drift on the n=200/seed-1200 rDAG: \
-          Decision.resolve_incremental (touched group only) vs from-scratch Decision.auto");
-      ("smoke", Json.Bool !smoke_flag);
-      ("drifted_group_members", Json.int 1);
-      ("from_scratch_s", Json.Float t_full);
-      ("incremental_s", Json.Float t_inc);
-      ("speedup", Json.Float (t_full /. t_inc));
-    ]
 
 (* --- bechamel micro rows (promoted from bench/micro.ml) --- *)
 
@@ -285,7 +215,7 @@ let run_micro () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second (if fast || !smoke_flag then 0.25 else 1.0)) ()
+    Benchmark.cfg ~limit:200 ~quota:(Time.second (if !fast then 0.25 else 1.0)) ()
   in
   let recorded = ref [] in
   List.iter
@@ -311,10 +241,9 @@ let run_micro () =
     (List.rev_map (fun (name, us) -> (name, Json.Float us)) !recorded)
 
 let run () =
-  section "Decision time: sweep, exact search, incremental";
+  section "Decision time: sweep, exact search";
   sweep ();
   run_exact ();
-  run_redecision ();
   run_micro ();
   paper_note
     [

@@ -1,15 +1,14 @@
 (* Simulator-throughput benchmark: the timer-wheel scheduler and the
-   allocation-free event hot path vs the seed's binary heap, plus the
-   content-addressed merge cache under drift-triggered re-merges.
+   allocation-free event hot path, plus the content-addressed merge cache
+   under drift-triggered re-merges.
 
-   Scenario A replays the same million-request open-loop workload through
-   two engines that differ only in [Engine.create ~sched] — [Legacy_heap]
-   is a faithful copy of the seed scheduler (generic priorities compared
-   polymorphically, one entry record per push, one closure per CPU
-   reschedule, list-filter container picking), [Wheel] is the monomorphic
-   timer wheel.  Both arms must produce bit-identical load-generator
-   results; the bench fails loudly if they diverge, so the speedup number
-   can never come from a behaviour change.
+   Scenario A replays a million-request open-loop workload through the
+   engine and checks the run against the seed binary-heap engine's
+   recorded row in the committed BENCH_engine.json ([baseline] at full
+   scale, [smoke_baseline] for `--smoke`): events, peak queue depth,
+   offered and successful requests, median and p99 must all match, so a
+   throughput change can never come from a behaviour change.  The recorded
+   rows are carried forward unchanged on every rewrite.
 
    Scenario B runs the online control plane's "path-shift" drift scenario
    (profile, merge, drift, re-merge, canary) across several seeds with the
@@ -19,16 +18,15 @@
 
 module Engine = Quilt_platform.Engine
 module Loadgen = Quilt_platform.Loadgen
-module Sched = Quilt_platform.Sched
 module Workflow = Quilt_apps.Workflow
 module Ast = Quilt_lang.Ast
 module Pipeline = Quilt_merge.Pipeline
 module Scenario = Quilt_control.Scenario
 module Json = Quilt_util.Json
 
-let smoke_flag = ref false
+let json_file = "BENCH_engine.json"
 
-(* --- Scenario A: open-loop throughput, wheel vs seed heap --- *)
+(* --- Scenario A: open-loop throughput against the seed heap's row --- *)
 
 (* A single configurable function: the request selects the work.  A CPU
    burst then sixteen I/O waits per request — a typical I/O-bound handler
@@ -53,9 +51,9 @@ let dial_fn =
 (* A fixed pool of request bodies: enough variety to spread work (and let
    the engine's calltree cache do its job, as a warm production path
    would), with I/O of 0.3-0.9s so the bench's request rates keep a
-   six-digit timer population outstanding — the regime where the seed heap
-   pays log-depth polymorphic compares (and a cache miss per sift level)
-   per operation and the wheel pays a constant bucket insert.  Timer
+   six-digit timer population outstanding — the regime where a binary heap
+   pays log-depth compares (and a cache miss per sift level) per operation
+   and the wheel pays a constant bucket insert.  Timer
    deadlines stay spread over the wheel's buckets regardless of pool size:
    arrivals are Poisson, so deadline = continuous arrival time + pooled
    I/O duration. *)
@@ -91,7 +89,6 @@ let deploy_dial engine =
     }
 
 type arm = {
-  a_kind : string;
   a_wall_s : float;
   a_events : int;
   a_events_per_s : float;
@@ -101,9 +98,8 @@ type arm = {
   a_result : Loadgen.result;
 }
 
-(* The equivalence fingerprint: everything the load generator and the
-   engine counters observe.  Bit-identical between arms or the bench
-   aborts. *)
+(* Everything the load generator and the engine counters observe; the obs
+   bench requires it bit-identical between its bare and recording arms. *)
 let fingerprint (r : Loadgen.result) =
   ( (r.Loadgen.successes, r.Loadgen.failures, r.Loadgen.offered),
     (Loadgen.median_ms r, Loadgen.p99_ms r, Loadgen.mean_ms r, r.Loadgen.throughput_rps),
@@ -116,10 +112,9 @@ let bench_params =
 
 (* [setup] runs after deployment and before the clock starts — the obs
    bench uses it to attach a span recorder to an otherwise identical arm. *)
-let run_arm ?(setup = fun (_ : Engine.t) -> ()) ~kind ~rate_rps ~duration_us () =
+let run_arm ?(setup = fun (_ : Engine.t) -> ()) ~rate_rps ~duration_us () =
   let engine =
-    Engine.create ~seed:11 ~params:bench_params ~sched:kind
-      ~registry:(Workflow.registry [ dial_wf ]) ()
+    Engine.create ~seed:11 ~params:bench_params ~registry:(Workflow.registry [ dial_wf ]) ()
   in
   deploy_dial engine;
   setup engine;
@@ -131,17 +126,14 @@ let run_arm ?(setup = fun (_ : Engine.t) -> ()) ~kind ~rate_rps ~duration_us () 
         Loadgen.run_open_loop engine ~entry:"dial" ~gen_req ~rate_rps ~duration_us
           ~warmup_us:0.0
           ~progress:(fun ~sent ~completed ->
-            if not Common.fast then
-              Printf.printf "    %s: %dk sent, %dk done\r%!"
-                (match kind with Sched.Wheel -> "wheel" | Sched.Legacy_heap -> "heap ")
-                (sent / 1000) (completed / 1000))
+            if not !Common.fast then
+              Printf.printf "    %dk sent, %dk done\r%!" (sent / 1000) (completed / 1000))
           ())
   in
   let minor_words = Gc.minor_words () -. minor0 in
   let events = Engine.events_processed engine in
-  if not Common.fast then print_newline ();
+  if not !Common.fast then print_newline ();
   {
-    a_kind = (match kind with Sched.Wheel -> "wheel" | Sched.Legacy_heap -> "legacy-heap");
     a_wall_s = wall_s;
     a_events = events;
     a_events_per_s = float_of_int events /. wall_s;
@@ -154,7 +146,7 @@ let run_arm ?(setup = fun (_ : Engine.t) -> ()) ~kind ~rate_rps ~duration_us () 
 let arm_json a =
   Json.Obj
     [
-      ("sched", Json.String a.a_kind);
+      ("sched", Json.String "wheel");
       ("wall_s", Json.Float a.a_wall_s);
       ("events", Json.Int ( a.a_events));
       ("events_per_sec", Json.Float a.a_events_per_s);
@@ -167,8 +159,19 @@ let arm_json a =
       ("p99_ms", Json.Float (Loadgen.p99_ms a.a_result));
     ]
 
+(* The fields a run must reproduce from the seed heap's recorded row. *)
+let checked_fields = [ "events"; "peak_queue_depth"; "offered"; "successes"; "median_ms"; "p99_ms" ]
+
+let recorded_row key =
+  match Common.read_json json_file with
+  | Some j -> (
+      match Json.member key (Json.member "engine" j) with
+      | Json.Obj _ as row -> row
+      | _ -> failwith (Printf.sprintf "engine bench: no %S row in %s" key json_file))
+  | None -> failwith (Printf.sprintf "engine bench: cannot read %s" json_file)
+
 let run_throughput () =
-  let smoke = !smoke_flag || Common.fast in
+  let smoke = !Common.fast in
   (* 30k req/s for 34 virtual seconds = one million offered requests; with
      16 I/O waits of 0.3-0.9s per request, ~290k timers are outstanding at
      steady state.  Smoke keeps the same shape over a 2.5s window. *)
@@ -178,27 +181,28 @@ let run_throughput () =
     (Printf.sprintf "open loop: %.0f req/s for %.0fs virtual (%s)" rate_rps
        (duration_us /. 1e6)
        (if smoke then "smoke" else "full"));
-  let heap = run_arm ~kind:Sched.Legacy_heap ~rate_rps ~duration_us () in
-  let wheel = run_arm ~kind:Sched.Wheel ~rate_rps ~duration_us () in
-  if fingerprint heap.a_result <> fingerprint wheel.a_result then begin
-    Printf.printf "  DIVERGENCE: wheel and legacy-heap arms disagree!\n";
-    failwith "engine bench: scheduler arms are not bit-identical"
-  end;
-  let speedup = heap.a_wall_s /. wheel.a_wall_s in
+  let baseline_key = if smoke then "smoke_baseline" else "baseline" in
+  let baseline = recorded_row baseline_key in
+  let wheel = run_arm ~rate_rps ~duration_us () in
+  let row = arm_json wheel in
   List.iter
-    (fun a ->
-      Printf.printf
-        "  %-11s %7.2fs wall  %9.0f events/s  depth %6d  %7.1f minor words/req\n"
-        a.a_kind a.a_wall_s a.a_events_per_s a.a_peak_depth a.a_words_per_req)
-    [ heap; wheel ];
-  Printf.printf "  speedup %.2fx (events/s %.2fx), identical traces: yes\n" speedup
-    (wheel.a_events_per_s /. heap.a_events_per_s);
-  (heap, wheel, speedup)
+    (fun f ->
+      let want = Json.to_string (Json.member f baseline) and got = Json.to_string (Json.member f row) in
+      if want <> got then begin
+        Printf.printf "  DIVERGENCE: %s = %s, the seed heap recorded %s\n" f got want;
+        failwith "engine bench: run differs from the seed heap's recorded row"
+      end)
+    checked_fields;
+  Printf.printf "  %7.2fs wall  %9.0f events/s  depth %6d  %7.1f minor words/req\n" wheel.a_wall_s
+    wheel.a_events_per_s wheel.a_peak_depth wheel.a_words_per_req;
+  Printf.printf "  matches the seed heap's recorded %s row: %s\n" baseline_key
+    (String.concat ", " checked_fields);
+  wheel
 
 (* --- Scenario B: merge-cache hit rate under drift-triggered re-merges --- *)
 
 let run_merge_cache () =
-  let smoke = !smoke_flag || Common.fast in
+  let smoke = !Common.fast in
   let seeds = if smoke then [ 0; 1 ] else List.init 12 (fun i -> i) in
   Common.subsection
     (Printf.sprintf "merge cache: path-shift drift scenario x %d seeds" (List.length seeds));
@@ -223,24 +227,23 @@ let run_merge_cache () =
   (hits, misses, rate, !remerges)
 
 let run () =
-  Common.section "engine: timer-wheel scheduler vs seed heap";
-  let heap, wheel, speedup = run_throughput () in
+  Common.section "engine: timer-wheel simulator throughput";
+  let wheel = run_throughput () in
   let hits, misses, hit_rate, remerges = run_merge_cache () in
   Common.paper_note
     [
-      "Both arms replay the identical event sequence (enforced above), so the";
-      "speedup is pure scheduler + allocation work: monomorphic float keys, a";
+      "The run replays the seed heap's event sequence (checked above), so its";
+      "throughput is pure scheduler + allocation work: monomorphic float keys, a";
       "bucketed wheel for the dense near-future timers, freelist event records";
       "instead of per-event closures, and scratch-buffer container picking.";
     ];
-  Common.record_timings ~file:"BENCH_engine.json" ~key:"engine"
+  Common.record_timings ~file:json_file ~key:"engine"
     [
-      ("scale", Json.String (if !smoke_flag || Common.fast then "smoke" else "full"));
-      ("baseline", arm_json heap);
+      ("scale", Json.String (if !Common.fast then "smoke" else "full"));
+      ("baseline", recorded_row "baseline");
+      ("smoke_baseline", recorded_row "smoke_baseline");
       ("wheel", arm_json wheel);
-      ("speedup_wall", Json.Float speedup);
-      ("speedup_events_per_sec", Json.Float (wheel.a_events_per_s /. heap.a_events_per_s));
-      ("traces_identical", Json.Bool true);
+      ("matches_baseline", Json.Bool true);
       ( "merge_cache",
         Json.Obj
           [

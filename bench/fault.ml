@@ -5,7 +5,7 @@
    buying availability at a bounded replayed-work cost, and the
    reliability-penalty sweep showing λ shrinking the chosen fault domains.
    Writes everything to BENCH_fault.json.  `bench/main.exe fault --smoke`
-   (or QUILT_BENCH_FAST=1) shrinks each run to ~12 virtual seconds. *)
+   shrinks each run to ~12 virtual seconds. *)
 
 open Common
 module Fs = Quilt_fault.Scenario
@@ -15,7 +15,6 @@ module Metrics = Quilt_cluster.Metrics
 module Types = Quilt_cluster.Types
 
 let json_file = "BENCH_fault.json"
-let smoke_flag = ref false
 let seed_ref = ref 0
 
 let run_matrix_or_fail ~smoke ~seed ?scenario_filter ~policy ~policy_name () =
@@ -75,7 +74,7 @@ let run () =
       "crash destroys (and an at-least-once retry replays) every member's";
       "in-flight work.  Deterministic fault plans make that measurable.";
     ];
-  let smoke = fast || !smoke_flag in
+  let smoke = !fast in
   let seed = !seed_ref in
   subsection "scenario x arm matrix (retry policy)";
   let matrix =
@@ -110,8 +109,5 @@ let run () =
           Json.List (List.map snd sweep) );
       ]
   in
-  let oc = open_out_bin json_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [outcomes recorded in %s]\n%!" json_file
+  let path = write_json json_file json in
+  Printf.printf "  [outcomes recorded in %s]\n%!" path

@@ -18,7 +18,6 @@ module Qir = Quilt_ir.Ir
 module Verify = Quilt_ir.Verify
 module Json = Quilt_util.Json
 
-let smoke_flag = ref false
 
 (* Minimum over [samples] batch timings: the standard uncontended-cost
    estimator for microbenchmarks — external load only ever adds time, so
@@ -124,7 +123,7 @@ let series ~iters ~samples ~host m ~fname ~req =
 
 let run () =
   Common.section "ir: tree-walker vs QVM compiled engine";
-  let iters, samples = if !smoke_flag || Common.fast then (150, 3) else (2000, 7) in
+  let iters, samples = if !Common.fast then (150, 3) else (2000, 7) in
   let host = Interp.echo_host in
 
   (* Workload 1: the merged compose-post handler, end to end. *)

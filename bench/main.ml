@@ -1,7 +1,8 @@
 (* Benchmark harness: one section per table/figure of the paper's
    evaluation.  Run everything with `dune exec bench/main.exe`, or a single
-   experiment with e.g. `dune exec bench/main.exe -- fig7`.  Set
-   QUILT_BENCH_FAST=1 for a quick pass. *)
+   experiment with e.g. `dune exec bench/main.exe -- fig7`.  Pass --smoke
+   for a quick pass; its BENCH_*.json artifacts go under _build/bench-smoke/
+   so the committed full-scale files stay untouched. *)
 
 let experiments =
   [
@@ -11,7 +12,7 @@ let experiments =
     ("fig8b", Fig8.run_8b, "decision-time sweep only (alias for the decision bench's sweep)");
     ( "decision",
       Decision_bench.run,
-      "decision time: sweep, parallel exact, incremental (writes BENCH_decision.json)" );
+      "decision time: sweep, parallel exact, micro rows (writes BENCH_decision.json)" );
     ("fig9", Fig9.run, "decision quality on random rDAGs (Figure 9)");
     ("fig10", Fig10.run, "conditional invocations under fan-out (Figure 10)");
     ("table_e", Table_e.run, "binary sizes (Appendix E)");
@@ -20,7 +21,7 @@ let experiments =
     ("fault", Fault.run, "fault injection: availability/goodput under chaos (writes BENCH_fault.json)");
     ("micro", Micro.run, "bechamel micro-benchmarks of the core algorithms");
     ("ir", Ir_bench.run, "tree-walker vs QVM compiled engine (writes BENCH_ir.json)");
-    ("engine", Engine_bench.run, "timer-wheel vs seed-heap simulator throughput + merge cache (writes BENCH_engine.json)");
+    ("engine", Engine_bench.run, "timer-wheel simulator throughput vs the seed heap's recorded run + merge cache (writes BENCH_engine.json)");
     ("place", Place.run, "flat vs topology-aware placement + joint merge decision (writes BENCH_place.json)");
     ("obs", Obs_bench.run, "span-recorder overhead + live-profiler decision fidelity (writes BENCH_obs.json)");
   ]
@@ -33,18 +34,10 @@ let usage () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let args =
-    (* --smoke shrinks the adaptive and fault scenarios without flipping
-       the whole harness into QUILT_BENCH_FAST mode. *)
     List.filter
       (fun a ->
         if a = "--smoke" then begin
-          Adaptive.smoke_flag := true;
-          Fault.smoke_flag := true;
-          Ir_bench.smoke_flag := true;
-          Engine_bench.smoke_flag := true;
-          Place.smoke_flag := true;
-          Obs_bench.smoke_flag := true;
-          Decision_bench.smoke_flag := true;
+          Common.fast := true;
           false
         end
         else true)
@@ -81,7 +74,7 @@ let () =
   | [ "--help" ] | [ "help" ] -> usage ()
   | [] ->
       Printf.printf "Quilt benchmark harness (all experiments%s)\n"
-        (if Common.fast then ", fast mode" else "");
+        (if !Common.fast then ", smoke mode" else "");
       List.iter (fun (_, run, _) -> run ()) experiments
   | names ->
       List.iter

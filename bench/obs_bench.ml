@@ -19,7 +19,6 @@
 
 module Engine = Quilt_platform.Engine
 module Loadgen = Quilt_platform.Loadgen
-module Sched = Quilt_platform.Sched
 module Workflow = Quilt_apps.Workflow
 module Config = Quilt_core.Config
 module Quilt = Quilt_core.Quilt
@@ -28,12 +27,11 @@ module Recorder = Quilt_obs.Recorder
 module Profiler = Quilt_obs.Profiler
 module Json = Quilt_util.Json
 
-let smoke_flag = ref false
 
 (* --- Scenario A: recorder overhead on the engine bench workload --- *)
 
 let run_overhead () =
-  let smoke = !smoke_flag || Common.fast in
+  let smoke = !Common.fast in
   let rate_rps = if smoke then 20_000.0 else 30_000.0 in
   let duration_us = if smoke then 2.5e6 else 34.0e6 in
   let period = 16 in
@@ -54,11 +52,11 @@ let run_overhead () =
   let faster a b =
     if a.Engine_bench.a_wall_s <= b.Engine_bench.a_wall_s then a else b
   in
-  let bare1 = Engine_bench.run_arm ~kind:Sched.Wheel ~rate_rps ~duration_us () in
-  let traced1 = Engine_bench.run_arm ~setup ~kind:Sched.Wheel ~rate_rps ~duration_us () in
-  let bare = faster bare1 (Engine_bench.run_arm ~kind:Sched.Wheel ~rate_rps ~duration_us ()) in
+  let bare1 = Engine_bench.run_arm ~rate_rps ~duration_us () in
+  let traced1 = Engine_bench.run_arm ~setup ~rate_rps ~duration_us () in
+  let bare = faster bare1 (Engine_bench.run_arm ~rate_rps ~duration_us ()) in
   let traced =
-    faster traced1 (Engine_bench.run_arm ~setup ~kind:Sched.Wheel ~rate_rps ~duration_us ())
+    faster traced1 (Engine_bench.run_arm ~setup ~rate_rps ~duration_us ())
   in
   if Engine_bench.fingerprint bare.Engine_bench.a_result
      <> Engine_bench.fingerprint traced.Engine_bench.a_result
@@ -114,7 +112,7 @@ let agreement_run ~wf ~seed ~period ~rate_rps ~duration_us =
           (agree, Recorder.sampled_roots r, Recorder.seen_roots r))
 
 let run_agreement () =
-  let smoke = !smoke_flag || Common.fast in
+  let smoke = !Common.fast in
   let seeds = if smoke then [ 0 ] else [ 0; 1; 2 ] in
   let periods = if smoke then [ 1; 4 ] else [ 1; 4; 16 ] in
   let duration_us = if smoke then 6.0e6 else 20.0e6 in
@@ -178,7 +176,7 @@ let run () =
     ];
   Common.record_timings ~file:"BENCH_obs.json" ~key:"obs"
     [
-      ("scale", Json.String (if !smoke_flag || Common.fast then "smoke" else "full"));
+      ("scale", Json.String (if !Common.fast then "smoke" else "full"));
       ( "overhead",
         Json.Obj
           [

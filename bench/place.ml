@@ -23,7 +23,6 @@ module Callgraph = Quilt_dag.Callgraph
 module Ast = Quilt_lang.Ast
 
 let json_file = "BENCH_place.json"
-let smoke_flag = ref false
 
 (* --- workloads --- *)
 
@@ -265,7 +264,7 @@ let run () =
       "lands changes what its cut edges cost (Costless) and what a node";
       "failure takes down.";
     ];
-  let smoke = fast || !smoke_flag in
+  let smoke = !fast in
   let seed = 0 in
   let duration_us = if smoke then 12_000_000.0 else 40_000_000.0 in
   (* Busy but not saturated: pools stay small enough that the example
@@ -397,8 +396,5 @@ let run () =
         ("joint_decision", joint);
       ]
   in
-  let oc = open_out_bin json_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [outcomes recorded in %s]\n%!" json_file
+  let path = write_json json_file json in
+  Printf.printf "  [outcomes recorded in %s]\n%!" path

@@ -211,12 +211,11 @@ let with_engine_stats enabled f =
         (100.0 *. float_of_int hits /. float_of_int lookups)
   end
 
-let adapt_cmd (seed, smoke, engine_stats, domains) no_controller incremental scenario =
+let adapt_cmd (seed, smoke, engine_stats, domains) no_controller scenario =
   with_engine_stats engine_stats @@ fun () ->
   let run wc =
     match
-      Quilt_control.Scenario.run ~smoke ~seed ~incremental_redecide:incremental ~domains
-        ~with_controller:wc scenario
+      Quilt_control.Scenario.run ~smoke ~seed ~domains ~with_controller:wc scenario
     with
     | Ok o -> o
     | Error e ->
@@ -547,14 +546,6 @@ let adapt_t =
   let no_controller =
     Arg.(value & flag & info [ "no-controller" ] ~doc:"Run the phased workload without the controller.")
   in
-  let incremental =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Opt the controller into warm-start incremental re-decision on drift ticks \
-             (escalates to the full optimizer when the incremental path declines).")
-  in
   let scenario =
     Arg.(
       value
@@ -565,7 +556,7 @@ let adapt_t =
   in
   Cmd.v
     (Cmd.info "adapt" ~doc:"Run an adaptive scenario under the online control plane")
-    Term.(const adapt_cmd $ run_flags $ no_controller $ incremental $ scenario)
+    Term.(const adapt_cmd $ run_flags $ no_controller $ scenario)
 
 let chaos_t =
   let policy =

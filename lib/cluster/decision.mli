@@ -1,11 +1,10 @@
 (** Front door for the merge-decision phase (§4): pick an algorithm, get a
     validated grouping.
 
-    One algorithm per call-graph size ({!auto}), as the paper does, plus
-    the warm-start incremental re-decision path the control plane uses on
-    drift ticks ({!resolve_incremental}).  [domains] only spreads the chosen
-    algorithm's own sweep over the Domain pool: every solver returns the
-    same solution at every [domains] value (qcheck-pinned). *)
+    One algorithm per call-graph size ({!auto}), as the paper does.
+    [domains] only spreads the chosen algorithm's own sweep over the Domain
+    pool: every solver returns the same solution at every [domains] value
+    (qcheck-pinned). *)
 
 type algorithm =
   | Optimal  (** Exhaustive k-sweep (§4.2); small graphs only. *)
@@ -47,32 +46,3 @@ val auto :
     the exact sweep ({!Optimal.solve}), whose answer is the optimum the
     test suite computes with an unbounded reference sweep, for every
     [domains] value. *)
-
-val resolve_incremental :
-  ?seed:int ->
-  ?domains:int ->
-  prev_graph:Quilt_dag.Callgraph.t ->
-  prev:Types.solution ->
-  report:Quilt_dag.Drift.report ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
-(** Warm-start re-decision after drift: [prev] is the solution currently
-    deployed (decided on [prev_graph]), [report] the {!Quilt_dag.Drift}
-    report against the fresh graph [g].  Only groups containing a function
-    in {!Quilt_dag.Drift.touched_functions} are re-decided (each on its
-    induced sub-callgraph, with a keep-whole fast path for groups that
-    still fit their container); untouched groups are spliced through
-    unchanged, and the spliced assembly is re-validated against [g].
-
-    Returns [None] — meaning the caller must fall back to a from-scratch
-    solve — when the report shows topology drift, when a touched group's
-    local re-solve fails, or when the spliced assembly no longer validates
-    (e.g. a local split demoted a root that other groups still cut edges
-    to).  A returned solution always passes {!Metrics.solution_valid}.
-
-    Differential guarantee (pinned by qcheck): re-deciding only the touched
-    groups yields exactly the same solution as feeding
-    {!Quilt_dag.Drift.touch_all}'s everything-touched report through the
-    same path, because an untouched group's local re-solve provably returns
-    the group unchanged. *)

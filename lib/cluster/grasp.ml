@@ -12,10 +12,15 @@ let draw_pool rng ~rcl ~count =
   Rng.shuffle rng rcl;
   Array.to_list (Array.sub rcl 0 (min count (Array.length rcl)))
 
-let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) ?(domains = 1) rng (g : Callgraph.t)
-    (lim : Types.limits) =
+(* The RCL holds the top [rcl_factor × ℓ] scorers; stage 1 starts at
+   ℓ = [initial_pool]. *)
+let rcl_factor = 2
+
+let initial_pool = 3
+
+let solve ?(domains = 1) rng (g : Callgraph.t) (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
-  let s = Dih.scores ?weights g lim in
+  let s = Dih.scores g lim in
   let candidates = List.filter (fun j -> j <> g.Callgraph.root) (List.init n (fun i -> i)) in
   let ranked = List.sort (fun a b -> compare s.(b) s.(a)) candidates in
   (* Stage 1: adaptive randomized search for an initial feasible root set. *)

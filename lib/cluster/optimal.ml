@@ -11,10 +11,9 @@ module Pool = Quilt_util.Pool
    enumeration order always survives the inclusive bound — so the returned
    solution is the first optimum in enumeration order, the same one an
    unbounded sweep over {!Closure.solve_exact} finds. *)
-let solve ?max_k ?(domains = 1) (g : Callgraph.t) (lim : Types.limits) =
+let solve ?(domains = 1) (g : Callgraph.t) (lim : Types.limits) =
   let domains = max 1 domains in
   let n = Callgraph.n_nodes g in
-  let max_k = match max_k with Some k -> min k n | None -> n in
   let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
   let incumbent = Atomic.make max_int in
   let best = ref None in
@@ -31,7 +30,7 @@ let solve ?max_k ?(domains = 1) (g : Callgraph.t) (lim : Types.limits) =
         c :: chunks rest
   in
   (try
-     for k = 1 to max_k do
+     for k = 1 to n do
        List.iter
          (fun chunk ->
            let results =

@@ -9,14 +9,9 @@
     applications. *)
 
 val solve :
-  ?max_k:int ->
-  ?domains:int ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
-(** [max_k] truncates the sweep (the full sweep uses |V|); useful in the
-    decision-time benchmarks.  Returns [None] when no feasible grouping
-    exists even with every vertex its own root.
+  ?domains:int -> Quilt_dag.Callgraph.t -> Types.limits -> Types.solution option
+(** Returns [None] when no feasible grouping exists even with every vertex
+    its own root.
 
     Candidate root sets are evaluated in chunks — in parallel on up to
     [domains] domains (default 1) — whose exact searches share one

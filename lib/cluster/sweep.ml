@@ -8,8 +8,10 @@ let rec combinations items size =
         let without_x = combinations rest size in
         with_x @ without_x
 
-let solve_over_pool ?k_max ?(patience = 2) ?(domains = 1) (g : Quilt_dag.Callgraph.t)
-    (lim : Types.limits) ~pool =
+(* Consecutive values of k without improvement before the sweep stops. *)
+let patience = 2
+
+let solve_over_pool ?k_max ?(domains = 1) (g : Quilt_dag.Callgraph.t) (lim : Types.limits) ~pool =
   let k_max =
     match k_max with Some k -> k | None -> List.length pool + 1
   in

@@ -11,16 +11,15 @@ val combinations : 'a list -> int -> 'a list list
 
 val solve_over_pool :
   ?k_max:int ->
-  ?patience:int ->
   ?domains:int ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   pool:int list ->
   Types.solution option
 (** Sweeps k = 1, 2, ... taking the k−1 extra roots from subsets of [pool];
-    Phase 2 is {!Closure.solve}.  Stops after [patience] (default 2)
-    consecutive values of k without improvement, or at [k_max] (default
-    [List.length pool + 1]).  Returns the best solution found.
+    Phase 2 is {!Closure.solve}.  Stops after 2 consecutive values of k
+    without improvement, or at [k_max] (default [List.length pool + 1]).
+    Returns the best solution found.
 
     Every subset's exact search shares one incumbent bound.  [domains]
     (default 1) fans each k's subsets out over the Domain pool; results are

@@ -16,7 +16,6 @@ type config = {
   canary : Canary.config;
   canary_warmup_us : float;
   canary_eval_us : float;
-  incremental_redecide : bool;
 }
 
 let default_config =
@@ -30,7 +29,6 @@ let default_config =
     canary = Canary.default;
     canary_warmup_us = 5_000_000.0;
     canary_eval_us = 6_000_000.0;
-    incremental_redecide = false;
   }
 
 type kind =
@@ -248,23 +246,7 @@ let attempt_remerge t report =
       Detector.note_action t.detector ~now;
       log t Remerge_failed (Printf.sprintf "window graph: %s" e)
   | Ok wg -> (
-      (* Warm-start path (opt-in): patch only the drifted groups of the
-         deployed plan.  Escalate to the full optimizer when the
-         incremental solver declines (topology drift, local infeasibility)
-         — and also when its patch is a no-op grouping-wise: drift strong
-         enough to trigger a remerge but invisible to any single group is
-         exactly the cross-group case only a global solve can improve. *)
-      let proposal_result =
-        let full () = Quilt.optimize ~graph:wg t.quilt_cfg ~workflows:t.workflows wf in
-        if not t.cfg.incremental_redecide then full ()
-        else
-          match
-            Quilt.optimize_incremental ~graph:wg t.quilt_cfg ~prev:t.current ~report wf
-          with
-          | Ok proposal when fingerprint proposal <> fingerprint t.current -> Ok proposal
-          | Ok _ | Error _ -> full ()
-      in
-      match proposal_result with
+      match Quilt.optimize ~graph:wg t.quilt_cfg ~workflows:t.workflows wf with
       | Error e ->
           Detector.note_action t.detector ~now;
           log t Remerge_failed e

@@ -28,13 +28,6 @@ type config = {
           (default 5 s). *)
   canary_eval_us : float;
       (** Judged this long after the warm-up ends (default 6 s). *)
-  incremental_redecide : bool;
-      (** Opt-in warm-start re-decision (default [false]): on a remerge
-          trigger, first try {!Quilt_core.Quilt.optimize_incremental} —
-          re-deciding only the drifted groups of the deployed plan — and
-          escalate to the full optimizer only when the incremental solver
-          declines or its patch leaves the grouping unchanged.  Canary,
-          holddown and watchdog machinery are identical on both paths. *)
 }
 
 val default_config : config

@@ -190,15 +190,11 @@ let groups_of (plan : Quilt.t) =
     (fun (d : Deploy.merged_deployment) -> List.sort compare d.Deploy.members)
     plan.Quilt.deployments
 
-let run ?(smoke = false) ?(seed = 0) ?obs_sample ?(incremental_redecide = false)
-    ?(domains = Config.default.Config.domains) ~with_controller name =
+let run ?(smoke = false) ?(seed = 0) ?obs_sample ?(domains = Config.default.Config.domains)
+    ~with_controller name =
   match spec_of ~smoke name with
   | Error e -> Error e
   | Ok sp -> (
-      let sp =
-        if not incremental_redecide then sp
-        else { sp with sp_ctl_cfg = { sp.sp_ctl_cfg with Controller.incremental_redecide = true } }
-      in
       let sp =
         {
           sp with

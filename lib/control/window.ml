@@ -7,12 +7,14 @@ type t = {
   engine : Engine.t;
   wf : Workflow.t;
   win_us : float;
-  slack : float;
   mutable floor : float;
 }
 
-let create engine ~workflow ?(window_us = 8_000_000.0) ?(slack = 0.25) () =
-  { engine; wf = workflow; win_us = window_us; slack; floor = 0.0 }
+(* History kept beyond the window, as a fraction of it. *)
+let slack = 0.25
+
+let create engine ~workflow ?(window_us = 8_000_000.0) () =
+  { engine; wf = workflow; win_us = window_us; floor = 0.0 }
 
 let window_us t = t.win_us
 
@@ -22,7 +24,7 @@ let start_of t =
 
 let advance t =
   let now = Engine.now t.engine in
-  let keep_from = now -. (t.win_us *. (1.0 +. t.slack)) in
+  let keep_from = now -. (t.win_us *. (1.0 +. slack)) in
   if keep_from > 0.0 then Trace.evict_before (Engine.tracing t.engine) keep_from
 
 let set_floor t f = t.floor <- Float.max t.floor f

@@ -14,11 +14,10 @@ val create :
   Quilt_platform.Engine.t ->
   workflow:Quilt_apps.Workflow.t ->
   ?window_us:float ->
-  ?slack:float ->
   unit ->
   t
-(** [window_us] defaults to 8 s of virtual time; [slack] (extra history
-    retained beyond the window, as a fraction of it) defaults to 0.25. *)
+(** [window_us] defaults to 8 s of virtual time.  History is retained for
+    a quarter window beyond it. *)
 
 val window_us : t -> float
 

@@ -106,11 +106,9 @@ let merged_spec (cfg : Config.t) (wf : Workflow.t) ~(graph : Callgraph.t)
   in
   let m = report.Pipeline.merged_module in
   let binary = Sizes.binary_size_mb m in
-  let eager_http =
-    (* DelayHTTP ran, so eager loading survives only if something forces
-       it; the size model's stub check doubles as the indicator. *)
-    false
-  in
+  (* The merged container pays the HTTP-stack load on cold start only if an
+     eager init survived DelayHTTP. *)
+  let eager_http = Quilt_ir.Pass_delayhttp.eager_init_count m > 0 in
   let spec =
     {
       Engine.service = root_name;

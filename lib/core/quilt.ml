@@ -16,9 +16,9 @@ type t = {
   deployments : Deploy.merged_deployment list;
 }
 
-let fresh_platform ?(seed = 7) ?params ?sched ?(config = Config.default) ~workflows () =
+let fresh_platform ?(seed = 7) ?params ?(config = Config.default) ~workflows () =
   let registry = Workflow.registry workflows in
-  let engine = Engine.create ~seed ?params ?sched ~registry () in
+  let engine = Engine.create ~seed ?params ~registry () in
   List.iter (fun wf -> Deploy.deploy_baseline engine config wf) workflows;
   engine
 
@@ -79,11 +79,7 @@ let singleton_solution (g : Callgraph.t) =
 let solve_with_penalty (cfg : Config.t) callgraph limits =
   let lambda = cfg.Config.reliability_lambda in
   let domains = cfg.Config.domains in
-  let primary =
-    match cfg.Config.algorithm with
-    | Some algorithm -> Decision.solve ~seed:cfg.Config.seed ~domains algorithm callgraph limits
-    | None -> Decision.auto ~seed:cfg.Config.seed ~domains callgraph limits
-  in
+  let primary = Decision.auto ~seed:cfg.Config.seed ~domains callgraph limits in
   if lambda <= 0.0 then primary
   else begin
     let extra =
@@ -133,34 +129,6 @@ let optimize ?graph (cfg : Config.t) ~workflows (wf : Workflow.t) =
       | None -> Error "no feasible grouping under the resource constraints"
       | Some solution -> Ok (plan_of_solution cfg wf ~callgraph solution))
 
-(* Warm-start re-decision (tentpole layer 3): re-decide only the groups the
-   drift report touched, splicing the rest of [prev]'s solution through
-   unchanged.  Deliberately does {e not} fall back to a full solve on its
-   own: an [Error] tells the caller the incremental path does not apply
-   (topology drift, a failed local re-solve, a λ > 0 config whose global
-   penalty scoring a local patch cannot honour, or an explicitly chosen
-   algorithm that bypasses [auto]'s dispatch) so the caller can decide
-   whether escalating to {!optimize} is worth the full decision cost. *)
-let optimize_incremental ?graph (cfg : Config.t) ~(prev : t) ~report (wf : Workflow.t) =
-  if cfg.Config.reliability_lambda > 0.0 then
-    Error "reliability penalty is a global objective: incremental re-decision does not apply"
-  else if cfg.Config.algorithm <> None then
-    Error "explicit algorithm override bypasses incremental re-decision"
-  else
-    let graph_result =
-      match graph with Some g -> Ok g | None -> Error "incremental re-decision needs the window graph"
-    in
-    match graph_result with
-    | Error e -> Error e
-    | Ok callgraph -> (
-        let limits = Config.limits cfg in
-        match
-          Decision.resolve_incremental ~seed:cfg.Config.seed ~domains:cfg.Config.domains
-            ~prev_graph:prev.callgraph ~prev:prev.solution ~report callgraph limits
-        with
-        | None -> Error "incremental re-decision infeasible for this drift"
-        | Some solution -> Ok (plan_of_solution cfg wf ~callgraph solution))
-
 let apply engine (t : t) =
   (* §5.5: the previous functions keep serving until each merged container
      is up; then the route flips seamlessly. *)
@@ -179,7 +147,10 @@ type reconsideration =
   | Remerge of t * Drift.report
   | Rollback_advised of string
 
-let reconsider ?(drift_threshold = 0.3) (cfg : Config.t) ~workflows (t : t) =
+(* Relative resource change that counts as drift. *)
+let drift_threshold = 0.3
+
+let reconsider (cfg : Config.t) ~workflows (t : t) =
   (* Pick up the (possibly updated) workflow by name. *)
   let wf =
     match List.find_opt (fun w -> w.Workflow.wf_name = t.workflow.Workflow.wf_name) workflows with

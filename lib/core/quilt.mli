@@ -39,29 +39,6 @@ val optimize :
 (** Full pipeline.  Pass [graph] to skip profiling (e.g. in tests).
     [Error] when profiling fails or no feasible grouping exists. *)
 
-val optimize_incremental :
-  ?graph:Quilt_dag.Callgraph.t ->
-  Config.t ->
-  prev:t ->
-  report:Quilt_dag.Drift.report ->
-  Quilt_apps.Workflow.t ->
-  (t, string) result
-(** Warm-start re-decision on drift ticks: feeds [prev]'s deployed solution
-    and the drift [report] through
-    {!Quilt_cluster.Decision.resolve_incremental}, re-deciding only the
-    groups the report touched and splicing the rest through unchanged, then
-    builds a fresh deployment plan from the spliced solution.  [graph] is
-    required in practice (the drift window's call graph — there is no point
-    re-profiling for an incremental patch).
-
-    [Error] when the incremental path does not apply — topology drift, a
-    failed local re-solve or re-validation, a [reliability_lambda > 0]
-    config (the blast-radius penalty is a global objective), or an explicit
-    [algorithm] override.  Unlike {!optimize} this never falls back to a
-    from-scratch solve itself; the caller (see
-    [Quilt_control.Controller]'s [incremental_redecide]) decides whether to
-    escalate. *)
-
 val apply : Quilt_platform.Engine.t -> t -> unit
 (** Deploys the merged functions and leaves every original function in
     place — cut edges and §5.6 overflow calls route to those (§5.5). *)
@@ -73,14 +50,12 @@ val rollback : Quilt_platform.Engine.t -> Config.t -> t -> unit
 val fresh_platform :
   ?seed:int ->
   ?params:Quilt_platform.Params.t ->
-  ?sched:Quilt_platform.Sched.kind ->
   ?config:Config.t ->
   workflows:Quilt_apps.Workflow.t list ->
   unit ->
   Quilt_platform.Engine.t
 (** An engine with baseline deployments for every function of the given
-    workflows.  [sched] selects the event-scheduler implementation (see
-    {!Quilt_platform.Engine.create}); default the timer wheel. *)
+    workflows. *)
 
 type reconsideration =
   | Keep of Quilt_dag.Drift.report
@@ -95,21 +70,16 @@ type reconsideration =
           the original functions (§8). *)
 
 val reconsider :
-  ?drift_threshold:float ->
-  Config.t ->
-  workflows:Quilt_apps.Workflow.t list ->
-  t ->
-  reconsideration
+  Config.t -> workflows:Quilt_apps.Workflow.t list -> t -> reconsideration
 (** Quilt "monitors its merged functions and reconsiders the merge if there
     are big workload changes, a function is updated, or its permission to be
     merged is removed" (§1.1).  Re-profiles the workflow and diffs the new
     call graph against the one the plan was built from with
     {!Quilt_dag.Drift.detect} — the same definition the online control plane
     ({!Quilt_control}) uses: topology changes, per-edge call-rate and α
-    changes, resource drift beyond [drift_threshold] (relative, default
-    0.3), or opt-in changes trigger a re-optimization.  The workflow is
-    looked up by name in [workflows], so an updated version of the functions
-    is picked up. *)
+    changes, a relative resource drift beyond 0.3, or opt-in changes trigger
+    a re-optimization.  The workflow is looked up by name in [workflows], so
+    an updated version of the functions is picked up. *)
 
 val with_optin : Quilt_apps.Workflow.t -> Quilt_dag.Callgraph.t -> Quilt_dag.Callgraph.t
 (** Attaches the developers' mergeable opt-in bits (which traces do not

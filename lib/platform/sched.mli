@@ -5,9 +5,9 @@
     entry record per event — fine for thousands of requests, hostile to
     million-request runs.  This module replaces it with:
 
-    - a single-level timer wheel of [2^slot_bits] buckets of
-      [granularity_us] µs each (window ≈ [2^slot_bits × granularity_us]),
-      with O(1) insertion for near-future events;
+    - a single-level timer wheel of 4096 buckets of 256 µs each (a
+      window of about 1.05 virtual seconds), with O(1) insertion for
+      near-future events;
     - an overflow heap for events beyond the wheel window, cascaded back
       into the wheel as the cursor advances;
     - a due heap ordered by (time, seq) holding the events of the bucket
@@ -18,9 +18,8 @@
 
     Pop order is exactly nondecreasing (time, seq) with [seq] assigned at
     schedule time — bit-identical to the seed binary heap, FIFO on ties.
-    The {!Legacy_heap} kind keeps a faithful copy of that seed heap
-    (polymorphic compare, one allocated entry per event) as the before-arm
-    of [bench/main.exe engine] and as the parity-test reference.
+    The parity tests check this against {!Quilt_util.Heap}, which pops in
+    the same order.
 
     Every event carries an integer [tag].  The engine stores a container's
     CPU epoch there, which replaces the seed's invalidate-by-reschedule
@@ -29,17 +28,11 @@
     closure allocation.  {!last_time} and {!last_tag} describe the most
     recently popped event and stay valid until the next pop. *)
 
-type kind = Wheel | Legacy_heap
-
 type 'a t
 
-val create :
-  ?kind:kind -> ?slot_bits:int -> ?granularity_us:float -> dummy:'a -> unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills freed payload slots so the scheduler never pins dead
-    events for the GC.  Defaults: [Wheel], [slot_bits = 12] (4096 slots),
-    [granularity_us = 256.0] (≈1.05 s window). *)
-
-val kind : 'a t -> kind
+    events for the GC. *)
 
 val length : 'a t -> int
 
@@ -55,7 +48,7 @@ val next_time : 'a t -> float
 val pop_exn : 'a t -> 'a
 (** Removes and returns the earliest event's payload (FIFO on equal
     times); sets {!last_time}/{!last_tag}.  Raises [Not_found] when empty.
-    Allocation-free in [Wheel] mode. *)
+    Allocation-free. *)
 
 val pop : 'a t -> (float * int * 'a) option
 (** Convenience wrapper over {!pop_exn}: [(time, tag, payload)]. *)

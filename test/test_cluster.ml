@@ -754,41 +754,6 @@ let test_auto_domains_all_regimes () =
         (same_solution (Decision.auto ~domains:4 g lim) one))
     [ 10; 30; 70 ]
 
-let resource_drifted_graph rng (g : Callgraph.t) =
-  let n = Callgraph.n_nodes g in
-  let victim = Rng.int_in rng 0 (n - 1) in
-  let nodes =
-    Array.map
-      (fun (nd : Callgraph.node) ->
-        if nd.Callgraph.id = victim then { nd with Callgraph.cpu = nd.Callgraph.cpu *. 1.6 }
-        else nd)
-      g.Callgraph.nodes
-  in
-  Callgraph.make ~nodes ~edges:g.Callgraph.edges ~root:g.Callgraph.root
-    ~invocations:g.Callgraph.invocations
-
-let prop_incremental_matches_touch_all =
-  QCheck.Test.make ~name:"incremental re-decision = everything-touched path" ~count:20
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int_in rng 5 25 in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      match Decision.auto ~domains:1 g lim with
-      | None -> true
-      | Some prev ->
-          let g' = resource_drifted_graph rng g in
-          let report = Drift.detect ~threshold:0.3 g g' in
-          let inc = Decision.resolve_incremental ~prev_graph:g ~prev ~report g' lim in
-          let all =
-            Decision.resolve_incremental ~prev_graph:g ~prev ~report:(Drift.touch_all g') g' lim
-          in
-          same_solution inc all
-          && (match inc with
-             | None -> true
-             | Some s -> Metrics.solution_valid g' lim s = Ok ()))
-
 let test_decision_names () =
   Alcotest.(check string) "optimal" "optimal" (Decision.algorithm_name Decision.Optimal);
   Alcotest.(check string) "dih" "downstream-impact" (Decision.algorithm_name Decision.Dih)
@@ -870,6 +835,5 @@ let suite =
         QCheck_alcotest.to_alcotest prop_auto_matches_reference_optimal;
         QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
         Alcotest.test_case "auto parity across regimes" `Slow test_auto_domains_all_regimes;
-        QCheck_alcotest.to_alcotest prop_incremental_matches_touch_all;
       ] );
   ]

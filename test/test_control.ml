@@ -290,31 +290,6 @@ let test_e2e_regress_rolls_back () =
   checkb "ends on the initial (guarded) plan" true
     (o.Scenario.o_initial_groups = o.Scenario.o_final_groups)
 
-let test_e2e_incremental_redecide () =
-  (* The warm-start re-decision path must adapt the same scenario the full
-     optimizer does, and — since it escalates whenever the incremental
-     solver declines or returns a grouping-identical patch — equal seeds
-     must give identical outcomes run to run. *)
-  let run () =
-    match
-      Scenario.run ~smoke:true ~incremental_redecide:true ~with_controller:true "path-shift"
-    with
-    | Ok o -> o
-    | Error e -> Alcotest.fail (Printf.sprintf "path-shift (incremental): %s" e)
-  in
-  let o1 = run () in
-  let s1 = summary_of o1 in
-  checkb "remerged at least once" true (s1.Controller.s_remerges >= 1);
-  check Alcotest.int "no rollbacks" 0 (s1.Controller.s_rollbacks + s1.Controller.s_watchdogs);
-  checkb "hot b-chain co-located with the entry" true
-    (List.mem [ "route-b1"; "route-b2"; "route-split" ] o1.Scenario.o_final_groups);
-  let o2 = run () in
-  let s2 = summary_of o2 in
-  checkb "equal seeds, identical final groups" true
-    (o1.Scenario.o_final_groups = o2.Scenario.o_final_groups);
-  check Alcotest.int "equal seeds, identical remerge count" s1.Controller.s_remerges
-    s2.Controller.s_remerges
-
 let test_e2e_late_regress_watchdog () =
   let o = run_scenario "late-regress" in
   let s = summary_of o in
@@ -352,7 +327,5 @@ let suite =
           test_e2e_regress_rolls_back;
         Alcotest.test_case "e2e: watchdog catches a late regression" `Slow
           test_e2e_late_regress_watchdog;
-        Alcotest.test_case "e2e: incremental re-decision adapts deterministically" `Slow
-          test_e2e_incremental_redecide;
       ] );
   ]

@@ -311,22 +311,23 @@ let test_simulation_is_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "bit-identical reruns" true (a = b)
 
-(* The Legacy_heap scheduler IS the seed event queue (a faithful copy);
-   an entire simulation must come out bit-identical on either scheduler:
-   same completions, same latency distribution (exact float equality),
-   same virtual clock, same counters.  This is the engine-level face of
-   the sched.parity qcheck harness. *)
-let test_wheel_and_legacy_heap_bit_identical () =
+(* An entire simulation on the timer wheel must come out bit-identical to
+   the run on the seed's binary-heap event queue: same completions, same
+   latency distribution (exact float equality, pinned as hex literals),
+   same virtual clock, same counters.  The expected tuples are what the
+   seed heap produced before the wheel replaced it.  This is the
+   engine-level face of the sched.parity qcheck harness. *)
+let test_wheel_matches_seed_heap_run () =
   let module Rng = Quilt_util.Rng in
-  let run sched =
-    let engine = Engine.create ~sched ~registry:(Workflow.registry [ dial_wf ]) () in
-    deploy_dial ~vcpus:1.0 ~max_scale:4 engine;
-    let r =
-      Loadgen.run_open_loop engine ~entry:"dial"
-        ~gen_req:(fun rng ->
-          req ~cpu:(200 + Rng.int rng 3000) ~io:(Rng.int rng 5000) ~mem:(Rng.int rng 8))
-        ~rate_rps:400.0 ~duration_us:4_000_000.0 ()
-    in
+  let engine = Engine.create ~registry:(Workflow.registry [ dial_wf ]) () in
+  deploy_dial ~vcpus:1.0 ~max_scale:4 engine;
+  let r =
+    Loadgen.run_open_loop engine ~entry:"dial"
+      ~gen_req:(fun rng ->
+        req ~cpu:(200 + Rng.int rng 3000) ~io:(Rng.int rng 5000) ~mem:(Rng.int rng 8))
+      ~rate_rps:400.0 ~duration_us:4_000_000.0 ()
+  in
+  let got =
     ( ( r.Loadgen.successes,
         r.Loadgen.failures,
         r.Loadgen.offered,
@@ -335,22 +336,36 @@ let test_wheel_and_legacy_heap_bit_identical () =
       Engine.counters engine,
       Engine.now engine )
   in
-  let a = run Quilt_platform.Sched.Wheel in
-  let b = run Quilt_platform.Sched.Legacy_heap in
-  Alcotest.(check bool) "bit-identical across schedulers" true (a = b)
+  let expected =
+    ( (1590, 0, 1590, 0x1.8dp+8),
+      (0x1.9fbe76c8b4396p+2, 0x1.3d70a3d70a3d7p+5, 0x1.bddf47de68af3p+2),
+      {
+        Engine.cold_starts = 4;
+        oom_kills = 0;
+        completed = 1749;
+        failed = 0;
+        remote_invocations = 0;
+        local_invocations = 0;
+        crash_kills = 0;
+        net_drops = 0;
+        hop_timeouts = 0;
+      },
+      0x1.06738p+25 )
+  in
+  Alcotest.(check bool) "bit-identical to the seed heap's run" true (got = expected)
 
-(* Same property through the full optimize/apply path: a merged deployment
-   (guards, local calls, per-member monitors) behaves identically on both
-   schedulers and across reruns of the same seed. *)
+(* Same property through [Quilt.fresh_platform]'s deployment of the
+   compose-post workflow (remote hops, per-function pools), pinned against
+   the seed heap's run of the same seed. *)
 let test_sched_parity_through_merge_path () =
-  let run sched =
-    let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
-    let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
-    let engine = Quilt.fresh_platform ~seed:23 ~sched ~workflows:[ compose ] () in
-    let r =
-      Loadgen.run_open_loop engine ~entry:"compose-post" ~gen_req:compose.Workflow.gen_req
-        ~rate_rps:150.0 ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
-    in
+  let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
+  let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
+  let engine = Quilt.fresh_platform ~seed:23 ~workflows:[ compose ] () in
+  let r =
+    Loadgen.run_open_loop engine ~entry:"compose-post" ~gen_req:compose.Workflow.gen_req
+      ~rate_rps:150.0 ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
+  in
+  let got =
     ( r.Loadgen.successes,
       r.Loadgen.offered,
       Loadgen.median_ms r,
@@ -358,9 +373,25 @@ let test_sched_parity_through_merge_path () =
       Engine.counters engine,
       Engine.now engine )
   in
-  let a = run Quilt_platform.Sched.Wheel in
-  let b = run Quilt_platform.Sched.Legacy_heap in
-  Alcotest.(check bool) "merge path bit-identical across schedulers" true (a = b)
+  let expected =
+    ( 420,
+      420,
+      0x1.d0e5604189375p+10,
+      0x1.9ba5e353f7ceep+11,
+      {
+        Engine.cold_starts = 110;
+        oom_kills = 0;
+        completed = 506;
+        failed = 0;
+        remote_invocations = 5060;
+        local_invocations = 0;
+        crash_kills = 0;
+        net_drops = 0;
+        hop_timeouts = 0;
+      },
+      0x1.ff2b6p+24 )
+  in
+  Alcotest.(check bool) "merge path bit-identical to the seed heap's run" true (got = expected)
 
 (* The process-wide scheduler stats are atomics because bench fan-outs
    drive engines from a Domain pool.  Whatever the interleaving of the
@@ -591,8 +622,8 @@ let suite =
       ] );
     ( "engine.sched",
       [
-        Alcotest.test_case "wheel = legacy heap, bit-identical" `Quick
-          test_wheel_and_legacy_heap_bit_identical;
+        Alcotest.test_case "wheel = seed heap, bit-identical" `Quick
+          test_wheel_matches_seed_heap_run;
         Alcotest.test_case "parity through merge path" `Quick test_sched_parity_through_merge_path;
         Alcotest.test_case "global stats race-free across domains" `Quick
           test_global_stats_race_free_under_domains;

@@ -113,6 +113,39 @@ let test_profile_builds_expected_graph () =
       Alcotest.(check bool) (n.Callgraph.name ^ " has mem") true (n.Callgraph.mem_mb > 0.0))
     g.Callgraph.nodes
 
+(* DelayHTTP deletes every eager HTTP-stack init, so no merged deployment of
+   a bundled workflow pays the stack load on cold start: [merged_spec]
+   derives [eager_http] from the merged module, and it must come out false
+   with zero eager inits everywhere. *)
+let test_merged_specs_never_eager_http () =
+  let quick = { cfg with Config.profile_duration_us = 4_000_000.0 } in
+  let workflows =
+    Deathstar.all ~async:false ()
+    @ Deathstar.social_network ~async:true ()
+    @ Deathstar.media ~async:true ()
+    @ [
+        Special.fan_out ~callee_mem_mb:14 ();
+        Special.cross_language ();
+        Special.modified_nearby_cinema ();
+        Special.routed ();
+      ]
+  in
+  let merged =
+    List.concat_map
+      (fun wf ->
+        match Quilt.optimize quick ~workflows:[ wf ] wf with
+        | Ok t -> t.Quilt.deployments
+        | Error e -> Alcotest.fail (wf.Workflow.wf_name ^ ": " ^ e))
+      workflows
+  in
+  Alcotest.(check bool) "some workflow merges" true (merged <> []);
+  List.iter
+    (fun (d : Deploy.merged_deployment) ->
+      Alcotest.(check int) (d.Deploy.root ^ ": eager inits") 0
+        (Quilt_ir.Pass_delayhttp.eager_init_count d.Deploy.report.Quilt_merge.Pipeline.merged_module);
+      Alcotest.(check bool) (d.Deploy.root ^ ": eager_http") false d.Deploy.spec.Engine.eager_http)
+    merged
+
 let test_optimize_merges_whole_workflow () =
   let wfs = Deathstar.social_network ~async:false () in
   let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
@@ -422,6 +455,7 @@ let suite =
     ( "core.quilt",
       [
         Alcotest.test_case "optimize merges workflow" `Slow test_optimize_merges_whole_workflow;
+        Alcotest.test_case "merged specs never eager http" `Slow test_merged_specs_never_eager_http;
         Alcotest.test_case "merged beats baseline" `Slow test_merged_latency_beats_baseline;
         Alcotest.test_case "rollback" `Slow test_rollback_restores_baseline;
         Alcotest.test_case "pinned function stays separate" `Slow test_optimize_respects_pinned_function;

@@ -2,12 +2,13 @@
    binary heap it replaced: pops come out in nondecreasing (time, seq)
    order, FIFO on equal timestamps, regardless of how events straddle the
    wheel window, the overflow heap, or already-passed bucket indices.
-   [Sched.Legacy_heap] IS the seed heap (a faithful copy), so parity
+   [Quilt_util.Heap] pops in that same (time, insertion order), so parity
    against it pins the equivalence the engine's determinism relies on. *)
 
 module Sched = Quilt_platform.Sched
+module Heap = Quilt_util.Heap
 
-let make kind = Sched.create ~kind ~dummy:(-1) ()
+let make () = Sched.create ~dummy:(-1) ()
 
 let drain_all s =
   let rec go acc =
@@ -20,24 +21,21 @@ let drain_all s =
 (* --- units --- *)
 
 let test_fifo_on_equal_times () =
-  List.iter
-    (fun kind ->
-      let s = make kind in
-      for i = 0 to 9 do
-        Sched.schedule s ~time:42.0 ~tag:i i
-      done;
-      let popped = drain_all s in
-      Alcotest.(check (list int))
-        "insertion order on ties"
-        [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-        (List.map (fun (_, _, p) -> p) popped);
-      List.iter (fun (t, _, _) -> Alcotest.(check (float 0.0)) "time kept" 42.0 t) popped)
-    [ Sched.Wheel; Sched.Legacy_heap ]
+  let s = make () in
+  for i = 0 to 9 do
+    Sched.schedule s ~time:42.0 ~tag:i i
+  done;
+  let popped = drain_all s in
+  Alcotest.(check (list int))
+    "insertion order on ties"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map (fun (_, _, p) -> p) popped);
+  List.iter (fun (t, _, _) -> Alcotest.(check (float 0.0)) "time kept" 42.0 t) popped
 
 (* Events far past the wheel window (default ≈1.05 virtual seconds) go to
    the overflow heap and must cascade back in order. *)
 let test_overflow_far_future () =
-  let s = make Sched.Wheel in
+  let s = make () in
   Sched.schedule s ~time:2_000_000_000.0 ~tag:0 1;
   Sched.schedule s ~time:5.0 ~tag:0 2;
   Sched.schedule s ~time:900_000_000.0 ~tag:0 3;
@@ -49,7 +47,7 @@ let test_overflow_far_future () =
 (* Scheduling behind the cursor (a time at or before an already-popped
    bucket) must not lose the event or break ordering. *)
 let test_schedule_behind_cursor () =
-  let s = make Sched.Wheel in
+  let s = make () in
   Sched.schedule s ~time:500_000.0 ~tag:0 1;
   Alcotest.(check int) "first pop" 1 (Sched.pop_exn s);
   Sched.schedule s ~time:3.0 ~tag:0 2;
@@ -60,7 +58,7 @@ let test_schedule_behind_cursor () =
     (List.map (fun (_, _, p) -> p) (drain_all s))
 
 let test_next_time_and_stats () =
-  let s = make Sched.Wheel in
+  let s = make () in
   Alcotest.(check (float 0.0)) "empty: infinity" infinity (Sched.next_time s);
   Sched.schedule s ~time:10.0 ~tag:7 1;
   Sched.schedule s ~time:4.0 ~tag:8 2;
@@ -80,7 +78,7 @@ let test_next_time_and_stats () =
 (* Thousands of events across many buckets stress the freelist growth and
    the occupancy-bitmap scan. *)
 let test_bulk_reverse_order () =
-  let s = make Sched.Wheel in
+  let s = make () in
   let n = 5_000 in
   for i = n - 1 downto 0 do
     Sched.schedule s ~time:(float_of_int (i * 37)) ~tag:0 i
@@ -89,22 +87,30 @@ let test_bulk_reverse_order () =
   Alcotest.(check int) "all popped" n (List.length popped);
   Alcotest.(check (list int)) "sorted by time" (List.init n (fun i -> i)) popped
 
-(* --- qcheck parity harness: wheel vs the seed heap --- *)
+(* --- qcheck parity harness: wheel vs the reference heap --- *)
+
+(* The reference side: a binary heap keyed by time, FIFO on ties, carrying
+   (tag, payload) as its value. *)
+let heap_pop h = Option.map (fun (t, (tag, p)) -> (t, tag, p)) (Heap.pop h)
+
+let heap_drain h =
+  let rec go acc = match heap_pop h with None -> List.rev acc | Some e -> go (e :: acc) in
+  go []
 
 (* An op stream drives both schedulers in lockstep; every pop must agree on
    (time, tag, payload).  Times are drawn from a bounded grid so ties are
    frequent, and the range (0 .. 5e6 µs) straddles the wheel window, so
    pushes land in due heap, wheel buckets and overflow alike. *)
 let apply_ops ops =
-  let w = make Sched.Wheel in
-  let l = make Sched.Legacy_heap in
+  let w = make () in
+  let h = Heap.create () in
   let counter = ref 0 in
   let ok = ref true in
   List.iter
     (fun op ->
       if op mod 4 = 3 then begin
         (* pop both, compare *)
-        (match (Sched.pop w, Sched.pop l) with
+        (match (Sched.pop w, heap_pop h) with
         | None, None -> ()
         | Some a, Some b -> if a <> b then ok := false
         | Some _, None | None, Some _ -> ok := false)
@@ -113,10 +119,10 @@ let apply_ops ops =
         let t = float_of_int (op / 4 mod 5_000_000) /. 3.0 in
         incr counter;
         Sched.schedule w ~time:t ~tag:!counter !counter;
-        Sched.schedule l ~time:t ~tag:!counter !counter
+        Heap.push h t (!counter, !counter)
       end)
     ops;
-  !ok && drain_all w = drain_all l
+  !ok && drain_all w = heap_drain h
 
 let prop_wheel_matches_seed_heap =
   let open QCheck in
